@@ -31,6 +31,7 @@ import multiprocessing
 import os
 import time
 import traceback
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection
@@ -397,6 +398,32 @@ def _default_start_method() -> str:
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
+#: Parent-only ends (worker pipes, pump wake sockets) open in this process.
+#: A forked child inherits copies of all of them; it closes those copies at
+#: once, so that the only holder of each worker pipe's parent end is the
+#: process that spawned the worker.  When that process dies, the worker's
+#: ``recv()`` sees EOF and the worker exits instead of living on orphaned.
+_PARENT_ENDS: "weakref.WeakSet[Any]" = weakref.WeakSet()
+
+
+def parent_only(end: Any) -> None:
+    """Register ``end`` (anything with ``close()``) to close in fork children."""
+    _PARENT_ENDS.add(end)
+
+
+def _close_parent_ends() -> None:
+    for end in list(_PARENT_ENDS):
+        try:
+            end.close()
+        except OSError:
+            pass
+    _PARENT_ENDS.clear()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, no inherited copies
+    os.register_at_fork(after_in_child=_close_parent_ends)
+
+
 class _Worker:
     """One pool slot: a process, its pipe, and the task it is running."""
 
@@ -407,6 +434,7 @@ class _Worker:
         telemetry: Optional[TelemetrySpec] = None,
     ) -> None:
         parent_conn, child_conn = ctx.Pipe()
+        parent_only(parent_conn)
         self.proc = ctx.Process(
             target=_worker_loop, args=(child_conn, runner, telemetry), daemon=True
         )

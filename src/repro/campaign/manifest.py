@@ -47,9 +47,12 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
+
+from repro.obs.telemetry import JsonlTailer
 
 MANIFEST_VERSION = 1
 
@@ -146,149 +149,153 @@ class ManifestScan:
         return claim.lease < self.clock
 
 
+def _fold_line(scan: ManifestScan, line: bytes, index: int) -> bool:
+    """Fold manifest line number ``index`` into ``scan``.
+
+    Returns False when the line voids the whole file: a header of another
+    version, or a first line that is a record rather than a header (the
+    file predates the manifest format).  Torn and foreign lines are
+    skipped; claims, ticks and unknown overlay kinds never reach
+    ``scan.records``.
+    """
+    line = line.strip()
+    if not line:
+        return True
+    try:
+        raw = json.loads(line)
+    except ValueError:
+        return True  # torn write (crash mid-append): costs one record
+    if not isinstance(raw, dict):
+        return True
+    kind = raw.get("kind")
+    if kind == KIND_HEADER:
+        return raw.get("version") == MANIFEST_VERSION
+    if index == 0:
+        return False
+    if kind == KIND_TICK:
+        try:
+            scan.clock = max(scan.clock, int(raw["clock"]))
+        except (KeyError, TypeError, ValueError):
+            pass
+        try:
+            if "gen" in raw:
+                scan.max_gen = max(scan.max_gen, int(raw["gen"]))
+        except (TypeError, ValueError):
+            pass
+        return True
+    if kind == KIND_CLAIM:
+        trace = raw.get("trace")
+        try:
+            claim = ClaimRecord(
+                cell_id=raw["cell_id"],
+                worker=str(raw.get("worker", "?")),
+                gen=int(raw["gen"]),
+                clock=int(raw["clock"]),
+                lease=int(raw["lease"]),
+                spec=raw.get("spec"),
+                trace=trace if isinstance(trace, str) else None,
+            )
+        except (KeyError, TypeError, ValueError):
+            return True
+        scan.clock = max(scan.clock, claim.clock)
+        scan.max_gen = max(scan.max_gen, claim.gen)
+        if claim.beats(scan.claims.get(claim.cell_id)):
+            scan.claims[claim.cell_id] = claim
+        return True
+    if kind is not None:
+        return True  # span or unknown overlay kind from a newer writer
+    try:
+        rec = CellRecord(
+            cell_id=raw["cell_id"],
+            workload=raw["workload"],
+            scheme=raw["scheme"],
+            status=raw["status"],
+            attempts=int(raw.get("attempts", 1)),
+            elapsed=float(raw.get("elapsed", 0.0)),
+            summary=raw.get("summary"),
+            error=raw.get("error"),
+            cached=bool(raw.get("cached", False)),
+            diagnosis=raw.get("diagnosis"),
+            report=raw.get("report"),
+        )
+    except (KeyError, TypeError, ValueError):
+        return True
+    scan.records[rec.cell_id] = rec  # last record per cell wins
+    return True
+
+
 class Manifest:
-    """Append-only JSONL progress log keyed by cell id."""
+    """Append-only JSONL progress log keyed by cell id.
+
+    Reads are incremental: one :class:`Manifest` keeps the scan it folded
+    so far and each :meth:`scan` parses only the complete lines appended
+    since the previous one (through a
+    :class:`~repro.obs.telemetry.JsonlTailer`).  A rotated, shrunk or
+    rewritten file, a :meth:`reset`, or a missing file drops the folded
+    state, so the result equals a fresh parse of the whole file.  The one
+    rewrite the tailer cannot see is another process's that keeps the
+    file's first 64 bytes and regrows past our read offset between two
+    scans; a fresh-start reset of a manifest live peers are reading breaks
+    the fleet's queue anyway, which is why ``repro serve`` peers attach
+    with ``--resume``.
+    """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self._lock = threading.Lock()
+        self._forget()
+
+    def _forget(self) -> None:
+        self._tailer = JsonlTailer(self.path)
+        self._resets = self._tailer.resets
+        self._folded = ManifestScan()
+        self._lines = 0  # complete lines folded, blank and torn ones too
+        self._void = False  # foreign-version header or headerless file
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
     def records(self) -> Dict[str, CellRecord]:
-        """Parse the manifest; last record per cell wins.
+        """Terminal records by cell id; last record per cell wins.
 
         Returns ``{}`` for a missing file, a version-incompatible file, or a
         file with no parseable records.
         """
-        if not self.path.exists():
-            return {}
-        out: Dict[str, CellRecord] = {}
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return {}
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write (crash mid-append): skip this cell
-            if not isinstance(raw, dict):
-                continue
-            if raw.get("kind") == KIND_HEADER:
-                if raw.get("version") != MANIFEST_VERSION:
-                    return {}  # incompatible manifest: treat as empty
-                continue
-            if i == 0:
-                return {}  # headerless file predates the manifest format
-            if "kind" in raw:
-                continue  # claim/tick/future overlay records: not terminal
-            try:
-                rec = CellRecord(
-                    cell_id=raw["cell_id"],
-                    workload=raw["workload"],
-                    scheme=raw["scheme"],
-                    status=raw["status"],
-                    attempts=int(raw.get("attempts", 1)),
-                    elapsed=float(raw.get("elapsed", 0.0)),
-                    summary=raw.get("summary"),
-                    error=raw.get("error"),
-                    cached=bool(raw.get("cached", False)),
-                    diagnosis=raw.get("diagnosis"),
-                    report=raw.get("report"),
-                )
-            except (KeyError, TypeError, ValueError):
-                continue
-            out[rec.cell_id] = rec
-        return out
+        return self.scan().records
 
     def scan(self) -> ManifestScan:
         """Parse the manifest as a work queue: terminal records, winning
         claims, and the logical-clock high-water mark.
 
-        Torn lines (a crash mid-append — including a torn *claim* as the
-        very last record) are skipped exactly as in :meth:`records`; a
-        duplicate claim for one cell resolves by
-        :meth:`ClaimRecord.beats` (higher generation wins).  Returns an
-        empty scan for a missing or version-incompatible file.
+        Torn lines (a crash mid-append, including a torn *claim* as the
+        very last record) are skipped; a duplicate claim for one cell
+        resolves by :meth:`ClaimRecord.beats` (higher generation wins).
+        Returns an empty scan for a missing or version-incompatible file.
+        The result is a snapshot the caller owns: later scans never
+        mutate it.
         """
-        out = ManifestScan()
-        if not self.path.exists():
+        with self._lock:
+            lines = self._tailer.poll_lines()
+            if self._tailer.resets != self._resets:
+                self._resets = self._tailer.resets
+                self._folded, self._lines, self._void = ManifestScan(), 0, False
+            for line in lines:
+                if not self._void:
+                    self._void = not _fold_line(self._folded, line, self._lines)
+                self._lines += 1
+            if self._void:
+                return ManifestScan()
+            folded = self._folded
+            out = ManifestScan(
+                dict(folded.records), dict(folded.claims), folded.clock, folded.max_gen
+            )
+            # a complete record that only lacks its newline still counts,
+            # as it does in a whole-file parse; the tail is folded into the
+            # snapshot alone because its bytes may still grow
+            tail = self._tailer.pending
+            if tail.strip() and not _fold_line(out, tail, self._lines):
+                return ManifestScan()
             return out
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return out
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write: costs one record, not the queue
-            if not isinstance(raw, dict):
-                continue
-            kind = raw.get("kind")
-            if kind == KIND_HEADER:
-                if raw.get("version") != MANIFEST_VERSION:
-                    return ManifestScan()
-                continue
-            if i == 0:
-                return ManifestScan()  # headerless: predates the format
-            if kind == KIND_TICK:
-                try:
-                    out.clock = max(out.clock, int(raw["clock"]))
-                except (KeyError, TypeError, ValueError):
-                    pass
-                try:
-                    if "gen" in raw:
-                        out.max_gen = max(out.max_gen, int(raw["gen"]))
-                except (TypeError, ValueError):
-                    pass
-                continue
-            if kind == KIND_CLAIM:
-                trace = raw.get("trace")
-                try:
-                    claim = ClaimRecord(
-                        cell_id=raw["cell_id"],
-                        worker=str(raw.get("worker", "?")),
-                        gen=int(raw["gen"]),
-                        clock=int(raw["clock"]),
-                        lease=int(raw["lease"]),
-                        spec=raw.get("spec"),
-                        trace=trace if isinstance(trace, str) else None,
-                    )
-                except (KeyError, TypeError, ValueError):
-                    continue
-                out.clock = max(out.clock, claim.clock)
-                out.max_gen = max(out.max_gen, claim.gen)
-                if claim.beats(out.claims.get(claim.cell_id)):
-                    out.claims[claim.cell_id] = claim
-                continue
-            if kind is not None:
-                continue  # unknown overlay kind from a newer writer
-            try:
-                rec = CellRecord(
-                    cell_id=raw["cell_id"],
-                    workload=raw["workload"],
-                    scheme=raw["scheme"],
-                    status=raw["status"],
-                    attempts=int(raw.get("attempts", 1)),
-                    elapsed=float(raw.get("elapsed", 0.0)),
-                    summary=raw.get("summary"),
-                    error=raw.get("error"),
-                    cached=bool(raw.get("cached", False)),
-                    diagnosis=raw.get("diagnosis"),
-                    report=raw.get("report"),
-                )
-            except (KeyError, TypeError, ValueError):
-                continue
-            out.records[rec.cell_id] = rec
-        return out
 
     def header(self) -> Optional[dict]:
         """The parsed header line, or None for a missing/invalid manifest."""
@@ -320,10 +327,12 @@ class Manifest:
         header = {"kind": "header", "version": MANIFEST_VERSION}
         if meta:
             header.update({k: v for k, v in meta.items() if k not in header})
-        with open(self.path, "w") as fh:
-            fh.write(json.dumps(header) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        with self._lock:
+            with open(self.path, "w") as fh:
+                fh.write(json.dumps(header) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            self._forget()
 
     def append(self, record: CellRecord) -> None:
         """Durably append one terminal cell record."""
@@ -388,14 +397,12 @@ class Manifest:
         """
         if not self.path.exists():
             self.reset()
-        with open(self.path, "ab") as fh:
+        with open(self.path, "a+b") as fh:
             prefix = b""
             try:
-                if fh.tell() > 0:
-                    with open(self.path, "rb") as tail:
-                        tail.seek(-1, os.SEEK_END)
-                        if tail.read(1) != b"\n":
-                            prefix = b"\n"
+                end = fh.tell()
+                if end > 0 and os.pread(fh.fileno(), 1, end - 1) != b"\n":
+                    prefix = b"\n"
             except OSError:
                 pass
             fh.write(prefix + json.dumps(payload).encode() + b"\n")

@@ -234,7 +234,11 @@ class JsonlTailer:
       stale offset in the middle of unrelated content.
 
     Unparseable *complete* lines (torn by a crash mid-file) are skipped, as
-    the manifest reader does.
+    the manifest reader does.  :meth:`poll_lines` is the raw layer beneath
+    :meth:`poll` for readers that fold lines into state of their own
+    (:meth:`repro.campaign.manifest.Manifest.scan`): ``resets`` counts the
+    rewinds to offset zero, so such a reader knows when to drop what it
+    folded, and ``pending`` is the buffered torn tail.
     """
 
     #: bytes of the file head remembered to detect truncate-and-rewrite
@@ -246,13 +250,21 @@ class JsonlTailer:
         self._buf = b""
         self._sig: Optional[Tuple[int, int]] = None  # (st_dev, st_ino)
         self._anchor = b""  # head of the file identity we are tailing
+        self.resets = 0
 
     def _reset(self) -> None:
         self._pos = 0
         self._buf = b""
         self._anchor = b""
+        self.resets += 1
 
-    def poll(self) -> List[dict]:
+    @property
+    def pending(self) -> bytes:
+        """The incomplete trailing line buffered since the last poll."""
+        return self._buf
+
+    def poll_lines(self) -> List[bytes]:
+        """Complete lines appended since the last poll, newline stripped."""
         try:
             st = os.stat(self.path)
         except OSError:
@@ -283,8 +295,11 @@ class JsonlTailer:
         data = self._buf + chunk
         lines = data.split(b"\n")
         self._buf = lines.pop()  # torn trailing line (b"" when newline-final)
+        return lines
+
+    def poll(self) -> List[dict]:
         out: List[dict] = []
-        for line in lines:
+        for line in self.poll_lines():
             line = line.strip()
             if not line:
                 continue

@@ -7,6 +7,9 @@ tears its pool down at the end; the service needs the same process workers
 :class:`~repro.campaign.executor._Worker` slots in a pump thread:
 
 * cells come in through a thread-safe inbox (:meth:`submit`);
+* the pump sleeps in one ``connection.wait`` over the busy workers' pipes
+  plus a wake socket that :meth:`submit` writes a byte to, so a new cell
+  reaches a free worker at once even while another worker is busy;
 * results leave through an ``on_result`` callback fired from the pump
   thread — the asyncio scheduler hands in a callback that trampolines onto
   its event loop via ``loop.call_soon_threadsafe``;
@@ -24,14 +27,15 @@ abrupt-death path during drain testing.
 
 from __future__ import annotations
 
+import multiprocessing
 import queue
+import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
-from typing import Any, Callable, List, Optional, Tuple
-
-import multiprocessing
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.campaign.executor import (
     CellRunner,
@@ -39,6 +43,7 @@ from repro.campaign.executor import (
     _default_start_method,
     _Worker,
     execute_cell,
+    parent_only,
 )
 from repro.campaign.manifest import STATUS_ERROR, STATUS_OK, STATUS_TIMEOUT
 from repro.campaign.spec import Cell
@@ -46,6 +51,10 @@ from repro.campaign.spec import Cell
 #: pool-level result status for a worker that died mid-cell (not a manifest
 #: status: the scheduler maps it to a retry or a terminal error)
 STATUS_CRASH = "crash"
+
+#: longest pump sleep: submits, stops and results wake it sooner; this cap
+#: only bounds how late an idle worker's death or a failed spawn is noticed
+PUMP_WAIT_S = 0.2
 
 
 @dataclass
@@ -82,19 +91,26 @@ class ServePool:
         self._ctx = multiprocessing.get_context(
             start_method or _default_start_method()
         )
-        self._inbox: "queue.Queue[Optional[Tuple[Cell, int]]]" = queue.Queue()
+        self._inbox: "queue.Queue[Tuple[Cell, int]]" = queue.Queue()
         self._on_result: Optional[Callable[[PoolResult], None]] = None
         self._workers: List[Optional[_Worker]] = [None] * jobs
         self._stop = threading.Event()
         self._drain = threading.Event()
         self._idle = threading.Event()
         self._idle.set()
+        self._idle_lock = threading.Lock()  # idle flips vs. inbox puts
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
+        self._wake_r: Optional[socket.socket] = None
+        self._wake_w: Optional[socket.socket] = None
 
     # ------------------------------------------------------------------
     def start(self, on_result: Callable[[PoolResult], None]) -> "ServePool":
         self._on_result = on_result
+        self._wake_r, self._wake_w = socket.socketpair()
+        for end in (self._wake_r, self._wake_w):
+            end.setblocking(False)
+            parent_only(end)
         self._thread = threading.Thread(
             target=self._loop, name="repro-serve-pool", daemon=True
         )
@@ -102,8 +118,26 @@ class ServePool:
         return self
 
     def submit(self, cell: Cell, attempt: int) -> None:
-        self._idle.clear()
-        self._inbox.put((cell, attempt))
+        with self._idle_lock:
+            self._idle.clear()
+            self._inbox.put((cell, attempt))
+        self._wake()
+
+    def _wake(self) -> None:
+        wake = self._wake_w
+        if wake is None:
+            return
+        try:
+            wake.send(b"\0")
+        except OSError:
+            pass  # buffer full (a wake is already pending) or pool stopped
+
+    def _drain_wake(self) -> None:
+        try:
+            while self._wake_r.recv(4096):
+                pass
+        except OSError:
+            pass  # BlockingIOError: drained
 
     @property
     def queued(self) -> int:
@@ -131,11 +165,10 @@ class ServePool:
         """Stop the pump; with ``drain``, let in-flight cells finish first."""
         if drain:
             self._drain.set()
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline:
-                if self._idle.wait(timeout=0.1):
-                    break
+            self._wake()
+            self._idle.wait(timeout)
         self._stop.set()
+        self._wake()
         if self._thread is not None:
             self._thread.join(timeout=max(5.0, timeout))
             self._thread = None
@@ -177,14 +210,14 @@ class ServePool:
         return w
 
     def _loop(self) -> None:  # noqa: C901 - one pump, states inline
-        backlog: List[Tuple[Cell, int]] = []
+        backlog: Deque[Tuple[Cell, int]] = deque()
         while not self._stop.is_set():
-            # pull everything currently queued into the local backlog
+            # consume wake-ups before the inbox: a submit landing after this
+            # point leaves its byte behind, so the wait below returns at once
+            self._drain_wake()
             try:
                 while True:
-                    item = self._inbox.get_nowait()
-                    if item is not None:
-                        backlog.append(item)
+                    backlog.append(self._inbox.get_nowait())
             except queue.Empty:
                 pass
             # surface crashed workers and respawn lazily
@@ -217,33 +250,29 @@ class ServePool:
                             continue
                     if w.busy or not w.alive:
                         continue
-                    cell, attempt = backlog.pop(0)
+                    cell, attempt = backlog.popleft()
                     try:
                         w.assign(cell, attempt, self.timeout)
                     except (BrokenPipeError, OSError):
-                        backlog.insert(0, (cell, attempt))
+                        backlog.appendleft((cell, attempt))
             busy = [
                 w for w in self._workers if w is not None and w.busy and w.alive
             ]
-            if not busy and (not backlog or self._drain.is_set()):
+            with self._idle_lock:
                 # draining: in-flight work is done; the untouched backlog is
                 # the scheduler's to checkpoint, not ours to hold idle open
-                self._idle.set()
-            if not busy:
-                # nothing in flight: sleep on the inbox instead of spinning
-                try:
-                    item = self._inbox.get(timeout=0.1)
-                except queue.Empty:
-                    continue
-                if item is not None:
-                    backlog.append(item)
-                continue
+                if not busy and (
+                    self._drain.is_set() or (not backlog and self._inbox.empty())
+                ):
+                    self._idle.set()
             now = time.monotonic()
-            wait_for = 0.2
+            wait_for = PUMP_WAIT_S
             deadlines = [w.deadline for w in busy if w.deadline is not None]
             if deadlines:
                 wait_for = min(wait_for, max(0.0, min(deadlines) - now))
-            ready = connection.wait([w.conn for w in busy], timeout=wait_for)
+            ready = connection.wait(
+                [w.conn for w in busy] + [self._wake_r], timeout=wait_for
+            )
             for w in busy:
                 if w.conn in ready:
                     slot = f"w{self._workers.index(w)}"
@@ -281,6 +310,10 @@ class ServePool:
                             worker=f"w{i}",
                         )
                     )
+        wake_r, wake_w = self._wake_r, self._wake_w
+        self._wake_r = self._wake_w = None
+        wake_r.close()
+        wake_w.close()
 
 
 __all__ = [

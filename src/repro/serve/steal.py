@@ -40,8 +40,8 @@ from repro.serve.jobs import cell_from_spec
 #: a claim is renewed once fewer than this many ticks of lease remain
 RENEW_FRACTION = 0.5
 
-#: default lease length in scheduler ticks (at the default 0.5 s tick
-#: interval: ~12 s of survivor progress before an orphan is stolen)
+#: default lease length in scheduler ticks (at the default 0.25 s tick
+#: interval: ~6 s of survivor progress before an orphan is stolen)
 DEFAULT_LEASE_TICKS = 24
 
 
@@ -162,7 +162,7 @@ class WorkQueue:
         """Re-read the shared file; fold peer progress into local state."""
         scan = self.manifest.scan()
         self.clock = max(self.clock, scan.clock)
-        self.done |= set(scan.records)
+        self.done.update(scan.records)
         # a peer outbid one of our claims (e.g. we stalled past our lease
         # and were stolen from): stop treating the cell as ours
         for cid in list(self.mine):
@@ -214,11 +214,11 @@ class WorkQueue:
         if rec.cell_id in self.done:
             self.release(rec.cell_id)
             return False
-        # cheap freshness check: another scheduler may have recorded the
-        # cell since our last scan (we only pay this on completion, not
-        # per tick)
+        # freshness check: another scheduler may have recorded the cell
+        # since our last scan (incremental: parses only the lines appended
+        # since then)
         latest = self.manifest.scan()
-        self.done |= set(latest.records)
+        self.done.update(latest.records)
         self.clock = max(self.clock, latest.clock)
         if rec.cell_id in self.done:
             self.release(rec.cell_id)

@@ -101,6 +101,40 @@ def _spawn_node(manifest_path, name, lease_ticks=15):
     )
 
 
+def _children(pid):
+    """Live (non-zombie) child pids of ``pid``, from ``/proc``."""
+    out = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if fields[0] != "Z" and int(fields[1]) == pid:
+            out.append(int(entry))
+    return out
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _wait_for_children(pid, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        kids = _children(pid)
+        if kids:
+            return kids
+        time.sleep(0.02)
+    pytest.fail(f"node {pid} never spawned a pool worker")
+
+
 def _reap(proc, timeout=180):
     try:
         return proc.wait(timeout=timeout)
@@ -132,17 +166,28 @@ class TestFleetChaos:
         self, tmp_path, serial_digest, seed
     ):
         """Kill one of two nodes at a random point; the survivor steals the
-        orphaned leases and the merge ends byte-identical to serial."""
+        orphaned leases and the merge ends byte-identical to serial.  The
+        victim's pool workers must not outlive it: with the scheduler gone,
+        each sees EOF on its pipe and exits."""
         manifest = tmp_path / "fleet.jsonl"
         assert seed_manifest(str(manifest), GRID_SPECS) == len(GRID_SPECS)
         rng = random.Random(seed)
         victim = _spawn_node(manifest, "victim")
         survivor = _spawn_node(manifest, "survivor")
         try:
+            _wait_for_children(victim.pid)
             time.sleep(rng.uniform(0.3, 1.2))
+            orphans = _children(victim.pid)
             assert kill_process(victim.pid)
             victim.wait(timeout=30)
             assert victim.returncode == -signal.SIGKILL
+            deadline = time.monotonic() + 10.0
+            while any(map(_alive, orphans)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            leaked = [pid for pid in orphans if _alive(pid)]
+            for pid in leaked:
+                os.kill(pid, signal.SIGKILL)
+            assert not leaked, f"pool workers outlived their node: {leaked}"
             assert _reap(survivor) == 0
         finally:
             for proc in (victim, survivor):
