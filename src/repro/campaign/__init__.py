@@ -5,7 +5,10 @@ a figure grid, a seed sweep, an ablation — executed across a
 ``multiprocessing`` worker pool with per-cell timeouts, bounded retry,
 failure isolation, and a resumable JSONL manifest.  It is the execution
 backend behind ``run_matrix(jobs=...)``, ``run_seeded(jobs=...)``,
-``Sweep.run(jobs=...)`` and the ``python -m repro campaign`` command.
+``Sweep.run(jobs=...)`` and the ``python -m repro campaign`` command.  Its
+pool, :class:`repro.campaign.pool.CellPool`, is the one the service
+(:mod:`repro.serve`) runs on as well; this package imports nothing from
+the service.
 
 Usage::
 

@@ -1,19 +1,21 @@
-"""Sharded campaign execution across a multiprocessing worker pool.
+"""Sharded campaign execution on the shared cell pool.
 
 :func:`run_campaign` takes a list of :class:`~repro.campaign.spec.Cell`
 specs and drives them to terminal state:
 
-* **Sharding** — up to ``jobs`` persistent worker processes, each fed one
-  cell at a time over a pipe.  Workers are spawn-safe: the cell runner is a
-  picklable module-level callable, so the pool works under both the ``fork``
-  (default on Linux) and ``spawn`` start methods.
+* **Sharding** — up to ``jobs`` persistent worker processes of one
+  :class:`~repro.campaign.pool.CellPool` (the pool the service runs on
+  too), each fed one cell at a time over a pipe.  Workers are spawn-safe:
+  the cell runner is a picklable module-level callable, so the pool works
+  under both the ``fork`` (default on Linux) and ``spawn`` start methods.
 * **Failure isolation** — a cell that raises, or a worker that dies, yields
   a recorded ``error`` for that cell (and a respawned worker), never a dead
   campaign.
-* **Timeout** — with ``jobs >= 2`` each attempt has a wall-clock budget;
-  an overrunning worker is terminated and the cell recorded as ``timeout``
-  (timeouts are terminal: a deterministic simulator that hung once will
-  hang again, so retrying only multiplies the loss).
+* **Timeout** — each attempt has a wall-clock budget; an overrunning
+  worker is terminated and the cell recorded as ``timeout`` (timeouts are
+  terminal: a deterministic simulator that hung once will hang again, so
+  retrying only multiplies the loss).  Only a separate process can be
+  interrupted, so with a timeout even ``jobs=1`` runs on a one-worker pool.
 * **Retry** — crashed/raising attempts are retried up to ``retries`` times
   with exponential backoff before the error becomes terminal.
 * **Resume** — with a :class:`~repro.campaign.manifest.Manifest` and
@@ -27,22 +29,21 @@ specs and drives them to terminal state:
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
+import queue
 import time
-import traceback
-import weakref
-from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing import connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign.manifest import (
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    CellRecord,
-    Manifest,
+from repro.campaign.manifest import STATUS_ERROR, STATUS_OK, CellRecord, Manifest
+from repro.campaign.pool import (
+    STATUS_CRASH,
+    CellPool,
+    CellRunner,
+    PoolResult,
+    activate_heartbeat,
+    attempt_record,
+    run_attempt,
 )
 from repro.campaign.progress import CampaignProgress
 from repro.campaign.spec import Cell
@@ -51,14 +52,6 @@ from repro.metrics.collectors import ResultMatrix
 from repro.obs import telemetry as _telemetry
 from repro.obs.telemetry import publish_system
 from repro.system import SimulationResult, System, SystemConfig
-
-#: worker telemetry spec shipped to the child process:
-#: (spool_dir, worker_name, heartbeat_interval)
-TelemetrySpec = Tuple[str, str, float]
-
-#: a cell runner maps (cell, attempt) -> summary dict (the _CACHED_FIELDS
-#: projection); it must be a module-level callable so spawn can pickle it
-CellRunner = Callable[[Cell, int], dict]
 
 
 class CampaignError(RuntimeError):
@@ -230,7 +223,9 @@ class CampaignOptions:
     """Execution policy for one campaign."""
 
     jobs: int = 1
-    timeout: Optional[float] = None  # per-attempt wall-clock seconds (jobs >= 2)
+    #: per-attempt wall-clock seconds; when set, every attempt runs in a
+    #: worker process (a one-worker pool at jobs=1) so it can be killed
+    timeout: Optional[float] = None
     retries: int = 0
     backoff: float = 0.1  # base retry delay; doubles per attempt
     resume: bool = False
@@ -334,160 +329,6 @@ def matrix_digest(matrix: ResultMatrix) -> str:
 
 
 # ----------------------------------------------------------------------
-# Worker pool plumbing
-# ----------------------------------------------------------------------
-
-
-def _worker_loop(
-    conn: Any, runner: CellRunner, telemetry: Optional[TelemetrySpec] = None
-) -> None:
-    """Worker process body: run cells off the pipe until told to stop."""
-    wt = None
-    if telemetry is not None:
-        spool_dir, worker_name, interval = telemetry
-        try:
-            wt = _telemetry.activate_worker(spool_dir, worker_name, interval)
-        except OSError:
-            wt = None  # unwritable spool dir: run blind, never refuse work
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        if task is None:
-            break
-        cell, attempt = task
-        if wt is not None:
-            wt.cell_start(cell, attempt)
-        t0 = time.perf_counter()
-        try:
-            summary = runner(cell, attempt)
-            payload: Tuple[str, Any, float] = (
-                STATUS_OK,
-                summary,
-                time.perf_counter() - t0,
-            )
-        except Exception as exc:
-            error: Any = traceback.format_exc(limit=8)
-            # Integrity failures carry a structured diagnosis (and have
-            # already written their crash dump in this process); ship it
-            # across the pipe so the manifest records it.
-            diagnosis = getattr(exc, "report", None)
-            if isinstance(diagnosis, dict) and diagnosis:
-                error = {"error": error, "diagnosis": diagnosis}
-            payload = (
-                STATUS_ERROR,
-                error,
-                time.perf_counter() - t0,
-            )
-        if wt is not None:
-            wt.cell_end(payload[0], payload[2])
-        try:
-            conn.send(payload)
-        except (BrokenPipeError, OSError):
-            break
-    if wt is not None:
-        _telemetry.deactivate_worker()
-    try:
-        conn.close()
-    except OSError:
-        pass
-
-
-def _default_start_method() -> str:
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-
-
-#: Parent-only ends (worker pipes, pump wake sockets) open in this process.
-#: A forked child inherits copies of all of them; it closes those copies at
-#: once, so that the only holder of each worker pipe's parent end is the
-#: process that spawned the worker.  When that process dies, the worker's
-#: ``recv()`` sees EOF and the worker exits instead of living on orphaned.
-_PARENT_ENDS: "weakref.WeakSet[Any]" = weakref.WeakSet()
-
-
-def parent_only(end: Any) -> None:
-    """Register ``end`` (anything with ``close()``) to close in fork children."""
-    _PARENT_ENDS.add(end)
-
-
-def _close_parent_ends() -> None:
-    for end in list(_PARENT_ENDS):
-        try:
-            end.close()
-        except OSError:
-            pass
-    _PARENT_ENDS.clear()
-
-
-if hasattr(os, "register_at_fork"):  # no fork, no inherited copies
-    os.register_at_fork(after_in_child=_close_parent_ends)
-
-
-class _Worker:
-    """One pool slot: a process, its pipe, and the task it is running."""
-
-    def __init__(
-        self,
-        ctx: Any,
-        runner: CellRunner,
-        telemetry: Optional[TelemetrySpec] = None,
-    ) -> None:
-        parent_conn, child_conn = ctx.Pipe()
-        parent_only(parent_conn)
-        self.proc = ctx.Process(
-            target=_worker_loop, args=(child_conn, runner, telemetry), daemon=True
-        )
-        self.proc.start()
-        child_conn.close()
-        self.conn = parent_conn
-        self.task: Optional[Tuple[Cell, int]] = None
-        self.deadline: Optional[float] = None
-
-    @property
-    def busy(self) -> bool:
-        return self.task is not None
-
-    @property
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def assign(self, cell: Cell, attempt: int, timeout: Optional[float]) -> None:
-        self.conn.send((cell, attempt))
-        self.task = (cell, attempt)
-        self.deadline = (time.monotonic() + timeout) if timeout else None
-
-    def take_task(self) -> Tuple[Cell, int]:
-        task = self.task
-        assert task is not None
-        self.task = None
-        self.deadline = None
-        return task
-
-    def kill(self) -> None:
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=2)
-            if self.proc.is_alive():  # pragma: no cover - stubborn child
-                self.proc.kill()
-                self.proc.join(timeout=2)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-    def shutdown(self) -> None:
-        """Polite stop for an idle worker; escalates to kill."""
-        if self.proc.is_alive() and not self.busy:
-            try:
-                self.conn.send(None)
-                self.proc.join(timeout=2)
-            except (BrokenPipeError, OSError):
-                pass
-        self.kill()
-
-
-# ----------------------------------------------------------------------
 # Campaign driver
 # ----------------------------------------------------------------------
 
@@ -511,11 +352,6 @@ class _Driver:
         self.report_dir = report_dir
         self.telemetry_dir = telemetry_dir
         self.records: Dict[str, CellRecord] = {}
-
-    def _worker_telemetry(self, slot: int) -> Optional[TelemetrySpec]:
-        if self.telemetry_dir is None:
-            return None
-        return (self.telemetry_dir, f"w{slot}", self.opts.telemetry_interval)
 
     def record(self, rec: CellRecord, source: str = "executed") -> None:
         if (
@@ -584,214 +420,98 @@ class _Driver:
             pending.append(cell)
         return pending
 
+    def retry_after(self, cell: Cell, attempt: int, error: str) -> float:
+        """Report a retry of ``cell`` after a failed ``attempt``; return how
+        long to wait before the next one."""
+        self.progress.retry(cell, attempt, error.strip().splitlines()[-1])
+        return retry_delay(cell.cell_id, attempt, self.opts.backoff)
+
     # ------------------------------------------------------------------
     def run_serial(self, pending: Sequence[Cell], runner: CellRunner) -> None:
-        """In-process execution (jobs=1): today's serial path plus retry.
-
-        Per-attempt timeouts need a separate process to interrupt; with one
-        job the attempt runs inline and ``timeout`` is not enforced.
-        """
-        wt = None
-        if self.telemetry_dir is not None:
+        """In-process execution (jobs=1 without a timeout) plus retry."""
+        wt = activate_heartbeat(
+            None
+            if self.telemetry_dir is None
             # one job: the "worker" heartbeats come from this process
-            try:
-                wt = _telemetry.activate_worker(
-                    self.telemetry_dir, "w0", self.opts.telemetry_interval
-                )
-            except OSError:
-                wt = None
+            else (self.telemetry_dir, "w0", self.opts.telemetry_interval)
+        )
         try:
             for cell in pending:
                 attempt = 1
                 while True:
-                    if wt is not None:
-                        wt.cell_start(cell, attempt)
-                    t0 = time.perf_counter()
-                    try:
-                        summary = runner(cell, attempt)
-                        elapsed = time.perf_counter() - t0
-                        if wt is not None:
-                            wt.cell_end(STATUS_OK, elapsed)
-                        self.record(
-                            CellRecord(
-                                cell_id=cell.cell_id,
-                                workload=cell.workload,
-                                scheme=cell.scheme,
-                                status=STATUS_OK,
-                                attempts=attempt,
-                                elapsed=elapsed,
-                                summary=summary,
-                            )
-                        )
+                    status, payload, elapsed = run_attempt(runner, cell, attempt, wt)
+                    rec = attempt_record(
+                        cell, attempt, status, payload, elapsed, self.opts.retries
+                    )
+                    if rec is not None:
+                        self.record(rec)
                         break
-                    except Exception as exc:
-                        elapsed = time.perf_counter() - t0
-                        if wt is not None:
-                            wt.cell_end(STATUS_ERROR, elapsed)
-                        diagnosis = getattr(exc, "report", None)
-                        if not (isinstance(diagnosis, dict) and diagnosis):
-                            diagnosis = None
-                        # A diagnosed integrity failure is deterministic -
-                        # the same wedge or violation will recur - so
-                        # retrying only multiplies the loss.  Record it
-                        # terminal immediately.
-                        if diagnosis is None and attempt <= self.opts.retries:
-                            self.progress.retry(
-                                cell, attempt, f"{type(exc).__name__}: {exc}"
-                            )
-                            time.sleep(
-                                retry_delay(cell.cell_id, attempt, self.opts.backoff)
-                            )
-                            attempt += 1
-                            continue
-                        self.record(
-                            CellRecord(
-                                cell_id=cell.cell_id,
-                                workload=cell.workload,
-                                scheme=cell.scheme,
-                                status=STATUS_ERROR,
-                                attempts=attempt,
-                                elapsed=elapsed,
-                                error=f"{type(exc).__name__}: {exc}",
-                                diagnosis=diagnosis,
-                            )
-                        )
-                        break
+                    time.sleep(self.retry_after(cell, attempt, payload))
+                    attempt += 1
         finally:
             if wt is not None:
                 _telemetry.deactivate_worker()
 
     # ------------------------------------------------------------------
-    def run_pool(self, pending: Sequence[Cell], runner: CellRunner) -> None:
-        """Pooled execution with per-attempt timeouts and worker respawn."""
+    def run_in_pool(
+        self, pending: Sequence[Cell], runner: CellRunner, jobs: int
+    ) -> None:
+        """Run every cell on a :class:`CellPool`, folding results here.
+
+        The pool's callback only queues results; records, manifest appends,
+        cache puts and progress all happen on this (the calling) thread.  A
+        crash counts as an error that consumes a retry.
+        """
         opts = self.opts
-        ctx = multiprocessing.get_context(opts.start_method or _default_start_method())
-        tasks: deque = deque((cell, 1) for cell in pending)
-        retries: List[Tuple[float, int, Cell, int]] = []  # (due, tiebreak, cell, attempt)
-        tiebreak = 0
-        workers = [
-            _Worker(ctx, runner, telemetry=self._worker_telemetry(i))
-            for i in range(min(opts.jobs, len(pending)))
-        ]
+        results: "queue.Queue[PoolResult]" = queue.Queue()
+        pool = CellPool(
+            jobs,
+            runner,
+            timeout=opts.timeout,
+            telemetry_dir=self.telemetry_dir,
+            telemetry_interval=opts.telemetry_interval,
+            start_method=opts.start_method,
+        )
+        # (due, cell_id, cell, attempt): a cell has at most one retry
+        # pending, so the cell id breaks every tie before Cell is compared
+        due: List[Tuple[float, str, Cell, int]] = []
+        outstanding = len(pending)
         try:
-            while tasks or retries or any(w.busy for w in workers):
+            pool.start(results.put)
+            for cell in pending:
+                pool.submit(cell, 1)
+            while outstanding:
+                wait = 1.0
+                if due:
+                    wait = min(wait, max(0.0, due[0][0] - time.monotonic()))
+                try:
+                    res: Optional[PoolResult] = results.get(timeout=wait)
+                except queue.Empty:
+                    res = None
+                    if pool.failure is not None:
+                        raise pool.failure
                 now = time.monotonic()
-                while retries and retries[0][0] <= now:
-                    _, _, cell, attempt = heapq.heappop(retries)
-                    tasks.append((cell, attempt))
-                # replace dead slots while work remains
-                for i, w in enumerate(workers):
-                    if not w.busy and not w.alive and (tasks or retries):
-                        w.kill()
-                        # same slot name: the respawn appends a fresh header
-                        # (new generation) to the same spool file
-                        workers[i] = _Worker(
-                            ctx, runner, telemetry=self._worker_telemetry(i)
-                        )
-                for w in workers:
-                    if tasks and not w.busy and w.alive:
-                        cell, attempt = tasks.popleft()
-                        try:
-                            w.assign(cell, attempt, opts.timeout)
-                        except (BrokenPipeError, OSError):
-                            # worker died between polls: requeue, respawn next pass
-                            tasks.appendleft((cell, attempt))
-                busy = [w for w in workers if w.busy]
-                if not busy:
-                    if retries:
-                        time.sleep(min(0.05, max(0.0, retries[0][0] - now)))
+                while due and due[0][0] <= now:
+                    _, _, cell, attempt = heapq.heappop(due)
+                    pool.submit(cell, attempt)
+                if res is None:
                     continue
-                wait_for = 0.5
-                deadlines = [w.deadline for w in busy if w.deadline is not None]
-                if deadlines:
-                    wait_for = min(wait_for, max(0.0, min(deadlines) - now))
-                if retries:
-                    wait_for = min(wait_for, max(0.0, retries[0][0] - now))
-                ready = connection.wait([w.conn for w in busy], timeout=wait_for)
-                for w in busy:
-                    if w.conn in ready:
-                        cell, attempt = w.take_task()
-                        try:
-                            status, payload, elapsed = w.conn.recv()
-                        except (EOFError, OSError):
-                            status, payload, elapsed = (
-                                STATUS_ERROR,
-                                f"worker process died (exitcode "
-                                f"{w.proc.exitcode})",
-                                0.0,
-                            )
-                        if status == STATUS_OK:
-                            self.record(
-                                CellRecord(
-                                    cell_id=cell.cell_id,
-                                    workload=cell.workload,
-                                    scheme=cell.scheme,
-                                    status=STATUS_OK,
-                                    attempts=attempt,
-                                    elapsed=elapsed,
-                                    summary=payload,
-                                )
-                            )
-                            continue
-                        # Error payloads are a plain traceback string, or a
-                        # {"error", "diagnosis"} dict from the integrity
-                        # layer.  Diagnosed failures are deterministic and
-                        # recorded terminal without burning retries.
-                        diagnosis = None
-                        error_text = payload
-                        if isinstance(payload, dict):
-                            diagnosis = payload.get("diagnosis")
-                            error_text = payload.get("error", "")
-                        if diagnosis is None and attempt <= opts.retries:
-                            self.progress.retry(
-                                cell, attempt, str(error_text).strip().splitlines()[-1]
-                            )
-                            tiebreak += 1
-                            heapq.heappush(
-                                retries,
-                                (
-                                    time.monotonic()
-                                    + retry_delay(
-                                        cell.cell_id, attempt, opts.backoff
-                                    ),
-                                    tiebreak,
-                                    cell,
-                                    attempt + 1,
-                                ),
-                            )
-                        else:
-                            self.record(
-                                CellRecord(
-                                    cell_id=cell.cell_id,
-                                    workload=cell.workload,
-                                    scheme=cell.scheme,
-                                    status=STATUS_ERROR,
-                                    attempts=attempt,
-                                    elapsed=elapsed,
-                                    error=str(error_text).strip(),
-                                    diagnosis=diagnosis,
-                                )
-                            )
-                # enforce per-attempt deadlines on the still-busy workers
-                now = time.monotonic()
-                for w in workers:
-                    if w.busy and w.deadline is not None and now >= w.deadline:
-                        cell, attempt = w.take_task()
-                        w.kill()
-                        self.record(
-                            CellRecord(
-                                cell_id=cell.cell_id,
-                                workload=cell.workload,
-                                scheme=cell.scheme,
-                                status=STATUS_TIMEOUT,
-                                attempts=attempt,
-                                elapsed=float(opts.timeout or 0.0),
-                                error=f"cell exceeded {opts.timeout:g}s wall-clock",
-                            )
-                        )
+                status = STATUS_ERROR if res.status == STATUS_CRASH else res.status
+                rec = attempt_record(
+                    res.cell, res.attempt, status, res.payload, res.elapsed,
+                    opts.retries,
+                )
+                if rec is None:
+                    delay = self.retry_after(res.cell, res.attempt, res.payload)
+                    heapq.heappush(
+                        due,
+                        (now + delay, res.cell.cell_id, res.cell, res.attempt + 1),
+                    )
+                else:
+                    self.record(rec)
+                    outstanding -= 1
         finally:
-            for w in workers:
-                w.shutdown()
+            pool.stop(drain=False)
 
 
 def run_campaign(
@@ -905,10 +625,10 @@ def run_campaign(
     try:
         pending = driver.prepare(ordered)
         if pending:
-            if opts.jobs == 1:
+            if opts.jobs == 1 and opts.timeout is None:
                 driver.run_serial(pending, runner)
             else:
-                driver.run_pool(pending, runner)
+                driver.run_in_pool(pending, runner, min(opts.jobs, len(pending)))
     finally:
         if cache is not None:
             cache.flush()

@@ -1074,7 +1074,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--timeout", type=float, default=None,
-        help="per-cell wall-clock budget in seconds (needs --jobs >= 2)",
+        help="per-cell wall-clock budget in seconds (each attempt runs in a "
+        "worker process, even at --jobs 1)",
     )
     p_camp.add_argument(
         "--retries", type=int, default=0,

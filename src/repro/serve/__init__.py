@@ -1,6 +1,7 @@
 """``repro.serve``: the crash-tolerant campaign service.
 
-A long-running asyncio job server over the pooled campaign executor:
+A long-running asyncio job server over the campaign cell pool
+(:class:`repro.campaign.pool.CellPool`, shared with ``run_campaign``):
 admission-controlled bounded queues with priority lanes and 429 load
 shedding, a lease-based work-stealing queue layered onto the campaign
 manifest, graceful SIGTERM drain with queue checkpointing, and the chaos
@@ -41,7 +42,6 @@ from repro.serve.jobs import (
     cell_from_spec,
     cell_to_spec,
 )
-from repro.serve.pool import PoolResult, ServePool, STATUS_CRASH
 from repro.serve.server import (
     Draining,
     Saturated,
@@ -66,13 +66,10 @@ __all__ = [
     "LatencyTracker",
     "LoadGenerator",
     "LogHistogram",
-    "PoolResult",
-    "STATUS_CRASH",
     "Saturated",
     "ServeClient",
     "ServeConfig",
     "ServeError",
-    "ServePool",
     "ServeScheduler",
     "ServeService",
     "Shed",

@@ -1,10 +1,11 @@
-"""The campaign service: an asyncio front end over the pooled executor.
+"""The campaign service: an asyncio front end over the shared cell pool.
 
 Two cooperating layers live here:
 
 * :class:`ServeScheduler` — the headless node.  Owns the manifest-backed
-  :class:`~repro.serve.steal.WorkQueue`, the persistent
-  :class:`~repro.serve.pool.ServePool`, the
+  :class:`~repro.serve.steal.WorkQueue`, a persistent
+  :class:`~repro.campaign.pool.CellPool` (the pool ``run_campaign`` runs
+  on too; here a crash always requeues instead of consuming a retry), the
   :class:`~repro.serve.admission.AdmissionController`, and the
   :class:`~repro.serve.jobs.JobRegistry`.  Several nodes may share one
   manifest (work stealing); the chaos harness runs nodes with no HTTP
@@ -48,13 +49,8 @@ from repro.campaign.executor import (
     retry_delay,
     summarize,
 )
-from repro.campaign.manifest import (
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    CellRecord,
-    Manifest,
-)
+from repro.campaign.manifest import STATUS_OK, CellRecord, Manifest
+from repro.campaign.pool import STATUS_CRASH, CellPool, PoolResult, attempt_record
 from repro.campaign.spec import Cell
 from repro.experiments.runner import ResultCache
 from repro.obs import telemetry as _telemetry
@@ -89,7 +85,6 @@ from repro.serve.jobs import (
     SpecError,
     cell_from_spec,
 )
-from repro.serve.pool import STATUS_CRASH, PoolResult, ServePool
 from repro.serve.steal import DEFAULT_LEASE_TICKS, WorkQueue
 
 CHECKPOINT_VERSION = 1
@@ -189,7 +184,7 @@ class ServeScheduler:
             tdir = _telemetry.spool_dir_for(cfg.manifest)
             tdir.mkdir(parents=True, exist_ok=True)
             self.telemetry_dir = str(tdir)
-        self.pool = ServePool(
+        self.pool = CellPool(
             cfg.jobs,
             runner=runner,
             timeout=cfg.timeout,
@@ -487,21 +482,7 @@ class ServeScheduler:
             attempt=res.attempt,
             **({"slot": res.worker} if res.worker else {}),
         )
-        if res.status == STATUS_OK:
-            self._finish(
-                state,
-                CellRecord(
-                    cell_id=state.cell_id,
-                    workload=state.cell.workload,
-                    scheme=state.cell.scheme,
-                    status=STATUS_OK,
-                    attempts=res.attempt,
-                    elapsed=res.elapsed,
-                    summary=res.payload,
-                ),
-                executed=True,
-            )
-        elif res.status == STATUS_CRASH:
+        if res.status == STATUS_CRASH:
             # infrastructure death, not a cell verdict: always re-run, with
             # deterministic jitter so a mass worker death cannot stampede
             state.crashes += 1
@@ -514,63 +495,26 @@ class ServeScheduler:
                     cap=2.0,
                 ),
             )
-        elif res.status == STATUS_TIMEOUT:
-            self._finish(
-                state,
-                CellRecord(
-                    cell_id=state.cell_id,
-                    workload=state.cell.workload,
-                    scheme=state.cell.scheme,
-                    status=STATUS_TIMEOUT,
-                    attempts=res.attempt,
-                    elapsed=res.elapsed,
-                    error=str(res.payload),
-                ),
-                executed=True,
+        else:
+            rec = attempt_record(
+                state.cell,
+                res.attempt,
+                res.status,
+                res.payload,
+                res.elapsed,
+                self.cfg.retries,
             )
-        else:  # STATUS_ERROR
-            diagnosis = None
-            error_text = res.payload
-            if isinstance(res.payload, dict):
-                diagnosis = res.payload.get("diagnosis")
-                error_text = res.payload.get("error", "")
-            if diagnosis is not None:
-                # diagnosed integrity failure: deterministic, quarantine it
-                self.quarantined_total += 1
-                self._finish(
-                    state,
-                    CellRecord(
-                        cell_id=state.cell_id,
-                        workload=state.cell.workload,
-                        scheme=state.cell.scheme,
-                        status=STATUS_ERROR,
-                        attempts=res.attempt,
-                        elapsed=res.elapsed,
-                        error=str(error_text).strip(),
-                        diagnosis=diagnosis,
-                    ),
-                    executed=True,
-                    quarantine=True,
-                )
-            elif res.attempt <= self.cfg.retries:
+            if rec is None:
                 self._requeue_later(
                     state,
                     retry_delay(state.cell_id, res.attempt, self.cfg.crash_backoff),
                 )
             else:
-                self._finish(
-                    state,
-                    CellRecord(
-                        cell_id=state.cell_id,
-                        workload=state.cell.workload,
-                        scheme=state.cell.scheme,
-                        status=STATUS_ERROR,
-                        attempts=res.attempt,
-                        elapsed=res.elapsed,
-                        error=str(error_text).strip(),
-                    ),
-                    executed=True,
-                )
+                # a diagnosed integrity failure is deterministic: quarantine
+                quarantine = rec.diagnosis is not None
+                if quarantine:
+                    self.quarantined_total += 1
+                self._finish(state, rec, executed=True, quarantine=quarantine)
         self._dispatch()
 
     def _requeue_later(self, state: CellState, delay: float) -> None:

@@ -94,6 +94,17 @@ def crash_hm1_runner(cell, attempt):
     return _summary(cell)
 
 
+def crash_once_runner(cell, attempt):
+    if attempt == 1:
+        os._exit(17)  # kill the worker process abruptly, mid-cell
+    return _summary(cell)
+
+
+def sleepy_runner(cell, attempt):
+    time.sleep(2.0)
+    return _summary(cell)
+
+
 def fake_result(cell):
     return SimulationResult(extra={}, **_summary(cell))
 
@@ -219,7 +230,9 @@ class TestExecutor:
         )
         rec = res.records[cells[0].cell_id]
         assert rec.status == "error" and rec.attempts == 2
-        assert "boom" in rec.error
+        # in-process and pooled attempts record the same stripped traceback
+        assert rec.error.startswith("Traceback (most recent call last):")
+        assert rec.error.splitlines()[-1] == "RuntimeError: boom"
         with pytest.raises(CampaignError):
             res.raise_on_failure()
 
@@ -240,6 +253,27 @@ class TestExecutor:
         assert rec.status == "timeout"
         assert "exceeded" in rec.error
         assert res.stats["ok"] == 2
+
+    def test_timeout_enforced_at_one_job(self):
+        cells = grid_cells(["HM1"], ["base"], TINY)
+        t0 = time.perf_counter()
+        res = run_campaign(
+            cells, CampaignOptions(jobs=1, timeout=0.3), runner=sleepy_runner
+        )
+        rec = res.records[cells[0].cell_id]
+        assert rec.status == "timeout" and rec.elapsed == 0.3
+        assert time.perf_counter() - t0 < 1.9  # killed, not slept out
+
+    def test_worker_crash_consumes_a_retry(self):
+        cells = grid_cells(["HM1"], ["base"], TINY)
+        res = run_campaign(
+            cells,
+            CampaignOptions(jobs=2, retries=1, backoff=0.01),
+            runner=crash_once_runner,
+        )
+        rec = res.records[cells[0].cell_id]
+        assert rec.ok and rec.attempts == 2
+        assert res.stats["retried"] == 1
 
     def test_worker_crash_isolated(self):
         cells = grid_cells(["HM1", "LM1"], ["base"], TINY)
@@ -304,6 +338,19 @@ class TestExecutor:
             CampaignOptions(retries=-1)
         with pytest.raises(ValueError):
             CampaignOptions(timeout=0)
+
+    # the dead pump thread's own traceback is expected here
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_pool_that_cannot_start_a_worker_raises(self):
+        # spawn must pickle the runner; the pool pump fails on the lambda,
+        # and the campaign surfaces that instead of waiting forever
+        cells = grid_cells(["HM1"], ["base"], TINY)
+        with pytest.raises(Exception, match="pickle"):
+            run_campaign(
+                cells,
+                CampaignOptions(jobs=2, start_method="spawn"),
+                runner=lambda cell, attempt: _summary(cell),
+            )
 
 
 # ----------------------------------------------------------------------

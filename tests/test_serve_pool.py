@@ -1,6 +1,6 @@
 """The service pool's pump reacts to a submit at once, even mid-cell.
 
-``ServePool`` sleeps in one ``connection.wait`` over its busy workers'
+``CellPool`` sleeps in one ``connection.wait`` over its busy workers'
 pipes and a wake socket that ``submit()`` writes to.  A cell submitted while
 another worker is busy must reach the free worker within a few
 milliseconds, not when the pump's wait next times out.
@@ -11,7 +11,7 @@ import threading
 import time
 
 from repro.serve import cell_from_spec
-from repro.serve.pool import ServePool
+from repro.campaign.pool import CellPool
 
 #: seconds the long cell keeps its worker busy
 BUSY_S = 1.5
@@ -57,7 +57,7 @@ class _Results:
 
 def test_submit_reaches_free_worker_while_another_is_busy():
     results = _Results()
-    pool = ServePool(2, runner=_timed_runner).start(results)
+    pool = CellPool(2, runner=_timed_runner).start(results)
     try:
         # spawn both workers first, so the probes time dispatch, not fork
         warm = [_cell("LM1", 100), _cell("LM2", 100)]
@@ -89,7 +89,7 @@ def test_concurrent_submits_each_run_exactly_once():
     """More workers than cores, four submitting threads and a short switch
     interval: every cell runs once, and the pool ends idle."""
     results = _Results()
-    pool = ServePool(3, runner=_quick_runner).start(results)
+    pool = CellPool(3, runner=_quick_runner).start(results)
     cells = [_cell("LM1", seed) for seed in range(48)]
 
     def submit_all(chunk):
