@@ -25,10 +25,6 @@ from typing import Dict, List, Optional, Tuple
 RowKey = Tuple[int, int]  # (bank, row)
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 class BufferEntry:
     """One prefetched row resident in the buffer."""
 
@@ -74,11 +70,11 @@ class BufferEntry:
     @property
     def utilization(self) -> int:
         """Distinct cache lines referenced (the paper's utilization counter)."""
-        return _popcount(self.ref_mask)
+        return self.ref_mask.bit_count()
 
     @property
     def valid_lines(self) -> int:
-        return _popcount(self.valid_mask)
+        return self.valid_mask.bit_count()
 
     @property
     def is_dirty(self) -> bool:
@@ -282,7 +278,7 @@ class PrefetchBuffer:
             new_lines = valid_mask & ~existing.valid_mask
             existing.valid_mask |= valid_mask
             existing.ready_time = max(existing.ready_time, ready_time)
-            self.lines_inserted += _popcount(new_lines)
+            self.lines_inserted += new_lines.bit_count()
             self._make_mru(existing, existing.recency)
             return None
 
@@ -300,7 +296,7 @@ class PrefetchBuffer:
         self._entries[key] = entry
         self._make_mru(entry, old_value)
         self.rows_inserted += 1
-        self.lines_inserted += _popcount(valid_mask)
+        self.lines_inserted += valid_mask.bit_count()
         return victim
 
     def invalidate(self, bank: int, row: int) -> Optional[BufferEntry]:

@@ -32,7 +32,7 @@ from repro.core.buffer import (
     UtilizationRecencyPolicy,
 )
 from repro.core.prefetcher import PrefetchAction, Prefetcher
-from repro.core.tables import ConflictTable, RowUtilizationTable, RUTEntry
+from repro.core.tables import ConflictTable, RowUtilizationTable
 from repro.obs.hooks import noop
 from repro.dram.bank import RowOutcome
 from repro.hmc.config import HMCConfig
@@ -79,14 +79,9 @@ class CampsPrefetcher(Prefetcher):
             count_distinct=self.params.count_distinct,
         )
         self.ct = ConflictTable(entries=self.params.conflict_table_entries)
-        # hot-path mirrors: the frozen-dataclass attribute chain costs two
-        # lookups per demand access, and the RUT entry list (bound once in
-        # RowUtilizationTable.__init__, mutated in place) lets
-        # on_demand_access update utilization without the record_access
-        # frame (tables.py keeps the reference implementation).
+        # hot-path mirror: the frozen-dataclass attribute chain costs two
+        # lookups per demand access
         self._threshold = self.params.utilization_threshold
-        self._rut_entries = self.rut._entries
-        self._count_distinct = self.params.count_distinct
         # decision statistics (reported by experiments)
         self.utilization_prefetches = 0
         self.conflict_prefetches = 0
@@ -119,26 +114,17 @@ class CampsPrefetcher(Prefetcher):
         outcome: RowOutcome,
         now: int,
     ) -> List[PrefetchAction]:
+        rut = self.rut
         if outcome is RowOutcome.HIT:
-            # RUT.record_access inlined (see __init__ mirrors).
-            entries = self._rut_entries
-            e = entries[bank]
-            if e is None or e.row != row:
-                e = RUTEntry(row=row, opened_at=now)
-                entries[bank] = e
-            e.line_mask = mask = e.line_mask | (1 << column)
-            e.accesses += 1
-            util = mask.bit_count() if self._count_distinct else e.accesses
+            util = rut.record_access(bank, row, column, now)
             if util >= self._threshold:
                 # High-utilization row: move it wholesale to the buffer and
                 # free the bank (paper: "fetches the whole row ... and
                 # precharges bank to make it ready for next request").  The
                 # lines already served from the open row seed the buffer
                 # entry's utilization counter.
-                # ``e`` *is* rut.get(bank) here (installed above), so its
-                # mask seeds directly; rut.clear inlined.
-                seed = mask
-                entries[bank] = None
+                seed = rut.get(bank).line_mask
+                rut.clear(bank)
                 self.utilization_prefetches += 1
                 self._emit_rut_threshold(self.vault_id, bank, row, util, now)
                 return self._count_issue(
@@ -158,7 +144,7 @@ class CampsPrefetcher(Prefetcher):
         if outcome is RowOutcome.CONFLICT:
             # The row that was open lost its buffer: its utilization history
             # moves from the RUT to the CT.
-            displaced = self.rut.replace(bank, row, now)
+            displaced = rut.replace(bank, row, now)
             if displaced is not None:
                 evicted = self.ct.insert(bank, displaced.row, now)
                 self._emit_ct_insert(self.vault_id, bank, displaced.row, now)
@@ -167,7 +153,7 @@ class CampsPrefetcher(Prefetcher):
             if self.ct.check_and_remove(bank, row):
                 # This row has itself been conflicted out recently: it is
                 # conflict-prone, prefetch it now and close the bank.
-                self.rut.clear(bank)
+                rut.clear(bank)
                 self.conflict_prefetches += 1
                 self._emit_ct_hit(self.vault_id, bank, row, now)
                 return self._count_issue(
@@ -183,20 +169,12 @@ class CampsPrefetcher(Prefetcher):
                     ]
                 )
             # Not (yet) conflict-prone: keep it open, track utilization.
-            # (record_access inlined; the utilization metric is not needed
-            # here, so the popcount is skipped too.)
-            entries = self._rut_entries
-            e = entries[bank]
-            if e is None or e.row != row:
-                e = RUTEntry(row=row, opened_at=now)
-                entries[bank] = e
-            e.line_mask |= 1 << column
-            e.accesses += 1
+            rut.record_access(bank, row, column, now)
             return []
 
         # EMPTY: fresh activation of a precharged bank.
         if self.ct.check_and_remove(bank, row):
-            self.rut.clear(bank)
+            rut.clear(bank)
             self.conflict_prefetches += 1
             self._emit_ct_hit(self.vault_id, bank, row, now)
             return self._count_issue(
@@ -211,14 +189,7 @@ class CampsPrefetcher(Prefetcher):
                     )
                 ]
             )
-        # record_access inlined, metric unused (same as the CONFLICT path).
-        entries = self._rut_entries
-        e = entries[bank]
-        if e is None or e.row != row:
-            e = RUTEntry(row=row, opened_at=now)
-            entries[bank] = e
-        e.line_mask |= 1 << column
-        e.accesses += 1
+        rut.record_access(bank, row, column, now)
         return []
 
     # ------------------------------------------------------------------

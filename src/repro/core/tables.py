@@ -33,10 +33,6 @@ class RUTEntry:
     accesses: int = 0  # raw request count (paper's counter wording)
     opened_at: int = 0
 
-    @property
-    def distinct_lines(self) -> int:
-        return self.line_mask.bit_count()
-
 
 class RowUtilizationTable:
     """Per-bank utilization tracking for open rows.
@@ -66,15 +62,7 @@ class RowUtilizationTable:
             self._entries[bank] = e
         e.line_mask |= 1 << column
         e.accesses += 1
-        # distinct_lines inlined (property frame + popcount showed up in
-        # the hot-loop profile at one call per served request)
         return e.line_mask.bit_count() if self.count_distinct else e.accesses
-
-    def utilization(self, bank: int) -> int:
-        e = self._entries[bank]
-        if e is None:
-            return 0
-        return e.distinct_lines if self.count_distinct else e.accesses
 
     def replace(self, bank: int, row: int, now: int) -> Optional[RUTEntry]:
         """A different row was activated in ``bank``: install a fresh entry
@@ -150,14 +138,6 @@ class ConflictTable:
         if key in self._table:
             del self._table[key]
             self.promotions += 1
-            return True
-        return False
-
-    def touch(self, bank: int, row: int) -> bool:
-        """LRU-refresh without removal (used by tests/ablations)."""
-        key = (bank, row)
-        if key in self._table:
-            self._table.move_to_end(key)
             return True
         return False
 

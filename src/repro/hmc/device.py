@@ -40,7 +40,6 @@ class HMCDevice:
         self.crossbar = Crossbar(config.vaults, config.crossbar_latency)
         self.energy = EnergyModel(config.energy)
         self._deliver_fn: Optional[DeliverFn] = None
-        self._xbar_latency = config.crossbar_latency
         kwargs = scheme_kwargs or {}
         self.vaults: List[VaultController] = [
             VaultController(
@@ -76,22 +75,11 @@ class HMCDevice:
     # ------------------------------------------------------------------
     def inject(self, req: MemoryRequest, at: int) -> None:
         """A request packet leaves the link's cube-side receiver at ``at``:
-        route it through the crossbar to its vault controller.
-
-        The crossbar traversal is inlined (``Crossbar.route`` holds the
-        reference semantics); the host decode already bounds ``req.vault``.
-        """
-        xbar = self.crossbar
+        route it through the crossbar to its vault controller."""
         vault = req.vault
-        port_busy = xbar._port_busy
-        start = port_busy[vault]
-        if start > at:
-            xbar.port_conflicts += 1
-        else:
-            start = at
-        port_busy[vault] = start + xbar.port_cycle
-        xbar.traversals += 1
-        self.engine.call_at(start + xbar.latency, self.vaults[vault].receive, req)
+        self.engine.call_at(
+            self.crossbar.route(at, vault), self.vaults[vault].receive, req
+        )
 
     def _on_vault_response(self, req: MemoryRequest, ready: int) -> None:
         """A vault finished a request at ``ready``; hand it to the host path.

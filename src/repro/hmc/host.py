@@ -76,10 +76,10 @@ class HostController:
         self._r_shift = m.row_shift
         self._nlinks = len(self.links)
         self._energy = device.energy
-        # Hot-path mirrors for the inlined crossbar traversal and the
-        # response-side crossbar charge (device.inject / Crossbar.route hold
-        # the reference semantics; vaults respond with bank-side ready
-        # cycles, see HMCDevice.set_deliver_fn).
+        # Hot-path mirrors for the inlined crossbar traversal (the same
+        # arithmetic as Crossbar.route, which HMCDevice.inject calls on the
+        # fabric path) and the response-side crossbar charge (vaults respond
+        # with bank-side ready cycles, see HMCDevice.set_deliver_fn).
         self._xbar = device.crossbar
         self._vault_receive = [vc.receive for vc in device.vaults]
         self._resp_xbar = config.crossbar_latency

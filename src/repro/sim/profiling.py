@@ -2,8 +2,8 @@
 
 The profiler gives per-function rows; what a perf investigation actually
 wants first is "where does the time go per *subsystem*" - engine loop vs
-FR-FCFS scheduler vs bank timing vs prefetcher decision logic vs
-instrumentation.  This module maps profile rows onto the repo's subsystem
+vault controller (FR-FCFS scan included) vs bank timing vs prefetcher
+decision logic vs instrumentation.  This module maps profile rows onto the repo's subsystem
 layout by filename and aggregates them, for two consumers:
 
 * ``python -m repro profile`` prints the table (and ``--json`` emits it
@@ -41,8 +41,8 @@ from typing import Any, Dict, List, Tuple
 #: use forward slashes; profile filenames are normalised before matching.
 SUBSYSTEM_PATHS: List[Tuple[str, Tuple[str, ...]]] = [
     ("engine", ("/sim/engine.py",)),
-    ("scheduler", ("/vault/scheduler.py",)),
-    ("vault", ("/vault/",)),  # controller + queues (scheduler matched above)
+    # controller (FR-FCFS scan included), queues and drain state
+    ("vault", ("/vault/",)),
     ("bank", ("/dram/",)),
     (
         "prefetcher",

@@ -42,10 +42,6 @@ from repro.vault.scheduler import FRFCFSScheduler
 RespondFn = Callable[[MemoryRequest, int], None]
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 class VaultController:
     """One vault's controller, scheduler and prefetch engine."""
 
@@ -119,7 +115,6 @@ class VaultController:
         sched = self.scheduler
         self._issue_ctx = (
             sched,
-            sched._pick,
             q.reads_by_bank,
             q.writes_by_bank,
             q.reads_by_row,
@@ -202,7 +197,6 @@ class VaultController:
         self._recv_ctx = (
             self.engine,
             buf,
-            buf._entries if buf is not None else None,
             self._pf_hit_latency,
             self._respond_fn,
             self.queues.admit,
@@ -223,7 +217,6 @@ class VaultController:
         (
             engine,
             buf,
-            buf_entries,
             pf_hit_latency,
             respond_fn,
             admit,
@@ -234,26 +227,7 @@ class VaultController:
         now = engine.now
         req.vault_arrive_cycle = now
         if buf is not None:
-            # PrefetchBuffer.lookup inlined (buffer.py keeps the reference
-            # implementation): the probe runs once per demand packet, and
-            # the miss half is one dict get plus a bit test.  ``_entries``
-            # is bound once in PrefetchBuffer.__init__ and only mutated in
-            # place, so probing it directly is safe.
-            entry = buf_entries.get((req.bank, req.row))
-            bit = 1 << req.column
-            if entry is None or not (entry.valid_mask & bit):
-                buf.misses += 1
-                entry = None
-            else:
-                buf.hits += 1
-                if not (entry.served_mask & bit):
-                    entry.served_mask |= bit
-                    buf.lines_used += 1
-                entry.ref_mask |= bit
-                entry.accesses += 1
-                if req.is_write:
-                    entry.dirty_mask |= bit
-                buf._make_mru(entry, entry.recency)
+            entry = buf.lookup(req.bank, req.row, req.column, req.is_write)
             if entry is not None:
                 ready = entry.ready_time
                 in_flight = ready > now
@@ -305,16 +279,17 @@ class VaultController:
     # Scheduling
     # ------------------------------------------------------------------
     def _try_issue(self) -> None:
+        """FR-FCFS issue: let every idle bank accept its best candidate.
+
+        The scan runs in this frame rather than in a scheduler method: at
+        one frame per issue slot plus one per exhausted scan, the call was
+        the last per-issue overhead left in the loop.  See _issue_ctx for
+        why the packed aliases stay current.
+        """
         engine = self.engine
         now = engine.now
-        # FRFCFSScheduler.next_request inlined below (the scheduler keeps the
-        # reference implementation and the public API): at one frame per
-        # issue slot plus one per exhausted scan, the method call itself was
-        # the last per-issue overhead left in this loop.  See _issue_ctx for
-        # why the packed aliases stay current.
         (
             sched,
-            pick,
             rbb,
             wbb,
             rbr,
@@ -331,8 +306,8 @@ class VaultController:
         if not rbb and not wbb:
             # Nothing queued: no pick, no promote (staging implies a full
             # queue), no wake to arm.  Only a pending write-drain *exit* can
-            # matter here, and running it eagerly mirrors what the scheduler
-            # does on its own empty fast path.
+            # matter here (entry needs a non-empty write queue), and it
+            # resolves identically now or at the next non-empty call.
             if sched.draining:
                 sched._update_drain_state(now)
             return
@@ -341,19 +316,28 @@ class VaultController:
         issued = 0
         while True:
             # Write-drain hysteresis: most iterations cross neither
-            # watermark and pay two comparisons (_update_drain_state keeps
-            # the transition semantics).
+            # watermark and pay two comparisons (_update_drain_state
+            # performs the transitions).
             pending_writes = len(writes_q)
             if sched.draining:
                 if pending_writes <= wlow:
                     sched._update_drain_state(now)
             elif pending_writes >= whigh:
                 sched._update_drain_state(now)
-            # FRFCFSScheduler._pick fused into the loop (the scheduler keeps
-            # the reference implementation): oldest ready row-hit, else
-            # oldest ready, scanning only banks with pending work.  Two
-            # copies - preferred direction then fallback - so no per-slot
-            # direction tuples are built.
+            # FR-FCFS over the preferred direction, then the fallback one:
+            # oldest ready row hit, else oldest ready request.  Two copies
+            # of the scan, so no per-slot direction tuples are built.
+            #
+            # The scan visits VaultQueues' per-bank buckets instead of the
+            # whole FIFO: only banks with pending work are visited, a row
+            # hit is one ``(bank, open_row)`` dict probe, and oldest-first
+            # ties break on the admission stamp ``req.qseq``.  This is
+            # order-identical to the naive FIFO scan, which returns the
+            # minimum-``qseq`` ready row hit, else the minimum-``qseq``
+            # ready request: both minima distribute over the per-bank
+            # partition, and each bucket is ``qseq``-sorted, so bucket heads
+            # are the only candidates the global minimum can come from.
+            # tests/test_frfcfs_edges.py replays the naive scan as an oracle.
             if sched.draining:
                 by_bank, by_row = wbb, wbr
             else:
@@ -370,6 +354,8 @@ class VaultController:
                         cand = hits[0]
                         if req is None or cand.qseq < req.qseq:
                             req = cand
+                        # Any global row hit makes the ready fallback moot,
+                        # so this bank's head need not compete for it.
                         continue
                 cand = bucket[0]
                 if best_ready is None or cand.qseq < best_ready.qseq:
@@ -413,7 +399,7 @@ class VaultController:
             remove(req)
             result = bank.access(write if req.is_write else read, req.row, now)
             issued += 1
-            # Engine.call_at inlined (the method stays the reference):
+            # Engine.call_at inlined:
             # result.finish is structurally >= now, priority -1 orders the
             # completion ahead of same-cycle arrivals exactly as before.
             engine._seq = seq = engine._seq + 1
@@ -422,8 +408,8 @@ class VaultController:
             if q.staging:
                 promote()
             if not rbb and not wbb:
-                # Queues drained mid-scan: mirror next_request's empty fast
-                # path (eager drain exit only).
+                # Queues drained mid-scan: same as the empty fast path at
+                # the top (eager drain exit only).
                 if sched.draining:
                     sched._update_drain_state(now)
                 break
@@ -441,10 +427,9 @@ class VaultController:
         """
         engine, rb, wb, banks, heap, wake_fired = self._wake_ctx
         if not rb and not wb:
-            return  # nothing queued: earliest_wakeup would return None
-        # earliest_wakeup inlined (FRFCFSScheduler.earliest_wakeup holds the
-        # reference semantics): soonest busy-until among banks with work,
-        # None-equivalent bail-out when some such bank is already idle.
+            return  # nothing queued: no wake needed
+        # Soonest busy-until among banks with work; bail out when some such
+        # bank is already idle (issuing happens now, not later).
         now = engine.now
         t = None
         for bank_id in rb:
@@ -464,11 +449,10 @@ class VaultController:
             if wake.time <= t:
                 return
             wake.cancel()
-        # Engine.schedule_at inlined (the method stays the reference).  This
-        # is the one hot site that needs a *cancellable* handle (the
-        # cancel-then-reschedule pattern above), so it walks the Event pool
-        # exactly as schedule_at does; t > now structurally - every bank
-        # considered had busy_until > now.
+        # Engine.schedule_at inlined.  This is the one hot site that needs
+        # a *cancellable* handle (the cancel-then-reschedule pattern above),
+        # so it walks the Event pool exactly as schedule_at does; t > now
+        # structurally - every bank considered had busy_until > now.
         engine._seq = seq = engine._seq + 1
         pool = engine._pool
         if pool:
@@ -527,12 +511,12 @@ class VaultController:
         else:
             result = bank.fetch_lines(
                 action.row,
-                _popcount(action.line_mask),
+                action.line_mask.bit_count(),
                 now,
                 precharge_after=action.precharge_after,
             )
         self._c_prefetch_rows.inc()
-        self._c_prefetch_lines.inc(_popcount(action.line_mask))
+        self._c_prefetch_lines.inc(action.line_mask.bit_count())
         victim = self.buffer.insert(
             action.bank,
             action.row,
@@ -589,10 +573,7 @@ class VaultController:
         if self.buffer is not None:
             self.buffer.reset_accounting()
         self.prefetcher.prefetches_issued = 0
-        self.scheduler.row_hit_issues = 0
-        self.scheduler.fcfs_issues = 0
-        self.scheduler.drain_entries = 0
-        self.scheduler.drain_cycles = 0
+        self.scheduler.reset_statistics(self.engine.now)
         self.tsv_bus.reservations = 0
         self.tsv_bus.busy_cycles = 0
 

@@ -26,7 +26,7 @@ class TestClassification:
     def test_hit_after_access(self, bank):
         bank.access(AccessKind.READ, 5, 0)
         assert bank.classify(5) is RowOutcome.HIT
-        assert bank.is_row_hit(5)
+        assert bank.open_row == 5
 
     def test_conflict_for_other_row(self, bank):
         bank.access(AccessKind.READ, 5, 0)

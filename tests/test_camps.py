@@ -121,7 +121,7 @@ class TestConflictPath:
         empty(pf, 0, 5, 0)
         conflict(pf, 0, 6, 2)
         e = pf.rut.get(0)
-        assert e.row == 6 and e.distinct_lines == 1
+        assert e.row == 6 and e.line_mask.bit_count() == 1
 
     def test_three_way_pingpong(self, pf):
         """A, B, C alternating in one bank: every row prefetched by round 2."""

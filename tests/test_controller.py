@@ -208,3 +208,16 @@ class TestStatsAndWakeups:
             )
         eng.run()
         assert len(responses) == n
+
+    def test_reset_mid_drain_restarts_open_episode(self):
+        """Drain residency after a warmup reset counts only cycles past the
+        boundary, even when the drain episode began before it."""
+        vc, eng, _ = make_vc(HMCConfig(write_queue_depth=4), scheme="none")
+        for row in range(3):  # 3 == high watermark, all on one bank
+            vc.queues.admit(req(row=row, write=True))
+        vc._try_issue()  # cycle 0: drain begins, one write issues
+        sched = vc.scheduler
+        assert sched.draining and len(vc.queues.writes) == 2
+        eng.now = 200
+        vc.reset_statistics()
+        assert sched.drain_cycles_at(400) == 200

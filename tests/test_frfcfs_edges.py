@@ -1,82 +1,74 @@
 """FR-FCFS edge cases: exact watermark transitions, oldest-first tie-breaks,
-and randomized equivalence of the indexed scheduler against a naive oracle.
+and randomized equivalence of the live issue loop against a naive oracle.
 
-The indexed scheduler scans per-bank buckets; its claim (module docstring of
-``repro.vault.scheduler``) is order-identity with the naive whole-FIFO scan:
+``VaultController._try_issue`` scans per-bank buckets; its claim (the
+comment above the scan) is order-identity with the naive whole-FIFO scan:
 oldest ready row hit, else oldest ready request, with write-drain hysteresis
-deciding direction priority.  The oracle here *is* that naive scan, driven
-against the same queues and banks over randomized admission/issue streams.
+deciding direction priority.  :func:`naive_oracle` *is* that naive scan,
+replayed on copies of the same queues and banks over randomized
+admission/issue streams.
 """
 
+import copy
 import random
 
 import pytest
 
-from repro.dram.bank import AccessKind, Bank
-from repro.dram.timing import DRAMTimings
+from repro.dram.bank import AccessKind
 from repro.request import MemoryRequest
-from repro.vault.queues import VaultQueues
-from repro.vault.scheduler import FRFCFSScheduler
+from tests.test_scheduler import issue, make_vc, req
 
 
-def req(bank=0, row=0, write=False):
-    r = MemoryRequest(0, write)
-    r.bank, r.row = bank, row
-    return r
-
-
-def make(high, low, nbanks=4, depth=8):
-    t = DRAMTimings()
-    banks = [Bank(i, t) for i in range(nbanks)]
-    queues = VaultQueues(depth, depth)
-    sched = FRFCFSScheduler(
-        banks, queues, write_high_watermark=high, write_low_watermark=low
-    )
-    return banks, queues, sched
+def admit(vc, *reqs):
+    for r in reqs:
+        vc.queues.admit(r)
 
 
 # ----------------------------------------------------------------------
-# Exact watermark transitions
+# Exact watermark transitions (depth 4: high 3, low 1)
 # ----------------------------------------------------------------------
 class TestWatermarkEdges:
     def test_drain_enters_exactly_at_high(self):
-        banks, q, s = make(high=3, low=1)
-        q.admit(req(bank=0))
-        q.admit(req(bank=1, write=True))
-        q.admit(req(bank=2, write=True))
-        # one write below the high watermark: reads keep priority
-        got = s.next_request(0)
-        assert not got.is_write
-        assert not s.draining and s.drain_entries == 0
-        q.admit(req(bank=3, write=True))
-        q.admit(req(bank=0))
-        # pending writes == high: drain begins on this very call
-        got = s.next_request(0)
-        assert got.is_write
-        assert s.draining and s.drain_entries == 1
+        vc = make_vc(depth=4)
+        r = req(bank=0)
+        w1, w2 = req(bank=1, write=True), req(bank=2, write=True)
+        admit(vc, r, w1, w2)
+        # two writes, one below the high watermark: reads keep priority
+        assert issue(vc, 0) == [r, w1, w2]
+        assert not vc.scheduler.draining and vc.scheduler.drain_entries == 0
+
+        vc = make_vc(depth=4)
+        r = req(bank=0)
+        ws = [req(bank=b, write=True) for b in (1, 2, 3)]
+        admit(vc, r, *ws)
+        # pending writes == high: drain begins before the first pick
+        got = issue(vc, 0)
+        assert got[0] is ws[0]
+        assert vc.scheduler.drain_entries == 1
 
     def test_drain_exits_exactly_at_low(self):
-        banks, q, s = make(high=3, low=1)
-        for b in range(3):
-            q.admit(req(bank=b, write=True))
-        q.admit(req(bank=3))
-        w1 = s.next_request(0)  # 3 == high: enter drain, oldest write first
-        assert s.draining and w1.is_write
-        w2 = s.next_request(0)  # 2 pending: one above low, still draining
-        assert s.draining and w2.is_write
-        r = s.next_request(0)  # 1 pending == low: exit, reads regain priority
-        assert not s.draining and not r.is_write
-        w3 = s.next_request(0)  # remaining write issues only after the read
-        assert w3.is_write and not s.draining
+        vc = make_vc(depth=4)
+        w0, w1, w2 = (req(bank=b, write=True) for b in range(3))
+        r = req(bank=3)
+        admit(vc, w0, w1, w2, r)
+        # 3 == high: drain, oldest write first; 2 pending: one above low,
+        # still draining; 1 pending == low: exit, the read regains priority
+        # and the remaining write issues only after it
+        assert issue(vc, 0) == [w0, w1, r, w2]
+        assert vc.scheduler.drain_entries == 1
+        assert not vc.scheduler.draining
 
     def test_drain_exits_on_empty_queues(self):
-        banks, q, s = make(high=1, low=0)
-        q.admit(req(bank=0, write=True))
-        got = s.next_request(0)
-        assert got.is_write and s.draining
-        # queues now empty; the empty fast path must still run the exit
-        assert s.next_request(0) is None
-        assert not s.draining
+        vc = make_vc(depth=2)  # high 1, low 0
+        vc.banks[0].access(AccessKind.READ, 5, 0)
+        w = req(bank=0, write=True)
+        admit(vc, w)
+        # bank busy: the drain starts but nothing issues
+        assert issue(vc, 0) == []
+        assert vc.scheduler.draining
+        # the last write empties the queues; the drain exits in the same pass
+        assert issue(vc, vc.banks[0].busy_until) == [w]
+        assert not vc.scheduler.draining
 
 
 # ----------------------------------------------------------------------
@@ -84,85 +76,92 @@ class TestWatermarkEdges:
 # ----------------------------------------------------------------------
 class TestOldestFirst:
     def test_admission_order_wins_across_banks(self):
-        banks, q, s = make(high=8, low=2)
-        order = [2, 0, 3, 1]
-        reqs = [req(bank=b, row=b) for b in order]
-        for r in reqs:
-            q.admit(r)
+        vc = make_vc(depth=8)
+        reqs = [req(bank=b, row=b) for b in (2, 0, 3, 1)]
+        admit(vc, *reqs)
         # all banks idle, no open rows: issue order is admission order,
         # regardless of bank numbering
-        assert [s.next_request(0) for _ in range(4)] == reqs
+        assert issue(vc, 0) == reqs
 
     def test_oldest_row_hit_wins_among_equally_ready_hits(self):
-        banks, q, s = make(high=8, low=2)
+        vc = make_vc(depth=8)
+        banks = vc.banks
         banks[1].access(AccessKind.READ, 7, 0)
         banks[2].access(AccessKind.READ, 7, 0)
         now = max(banks[1].busy_until, banks[2].busy_until)
         older_miss = req(bank=0, row=0)
         older_hit = req(bank=2, row=7)
         younger_hit = req(bank=1, row=7)
-        for r in (older_miss, older_hit, younger_hit):
-            q.admit(r)
+        admit(vc, older_miss, older_hit, younger_hit)
         # both hits are ready; the older hit wins, bypassing the oldest
         # (non-hit) request entirely
-        assert s.next_request(now) is older_hit
-        assert s.next_request(now) is younger_hit
-        assert s.next_request(now) is older_miss
+        assert issue(vc, now) == [older_hit, younger_hit, older_miss]
 
 
 # ----------------------------------------------------------------------
 # Randomized equivalence against the naive whole-FIFO oracle
 # ----------------------------------------------------------------------
-def naive_oracle(banks, q, sched, now):
-    """The naive FR-FCFS scan the indexed scheduler claims identity with.
+def naive_oracle(vc, now):
+    """Test oracle: the naive FR-FCFS scan ``_try_issue`` claims identity with.
 
-    Returns ``(request, draining_after)`` for the *pre-call* state, matching
-    ``next_request``'s exact decision order: empty fast path (with eager
-    drain exit), then hysteresis, then oldest-ready-hit-else-oldest-ready
-    over the prioritized direction.
+    Replays one issue pass on copies of the vault's FIFOs and banks:
+    hysteresis, then oldest-ready-hit-else-oldest-ready over the prioritized
+    direction, issuing until the scan returns None.  Returns ``(issued,
+    draining_after, drain_entries)``; the live state is left untouched.
     """
-    if not q.reads_by_bank and not q.writes_by_bank:
-        return None, False  # drain (if any) exits: 0 <= low always holds
+    sched = vc.scheduler
+    banks = copy.deepcopy(vc.banks)
+    reads, writes = list(vc.queues.reads), list(vc.queues.writes)
     draining = sched.draining
-    pending_writes = len(q.writes)
-    if draining:
-        if pending_writes <= sched.write_low:
-            draining = False
-    elif pending_writes >= sched.write_high:
-        draining = True
+    entries = 0
 
     def scan(fifo):
         first_hit = None
         first_ready = None
-        for r in fifo:  # FIFO order == qseq order
+        for i, r in enumerate(fifo):  # FIFO order == qseq order
             bank = banks[r.bank]
             if bank.busy_until > now:
                 continue
             if bank.open_row is not None and bank.open_row == r.row:
                 if first_hit is None:
-                    first_hit = r
+                    first_hit = i
             elif first_ready is None:
-                first_ready = r
+                first_ready = i
         return first_hit if first_hit is not None else first_ready
 
-    if draining:
-        chosen = scan(q.writes) or scan(q.reads)
+    issued = []
+    while reads or writes:
+        pending_writes = len(writes)
+        if draining:
+            if pending_writes <= sched.write_low:
+                draining = False
+        elif pending_writes >= sched.write_high:
+            draining = True
+            entries += 1
+        order = (writes, reads) if draining else (reads, writes)
+        for fifo in order:
+            i = scan(fifo)
+            if i is not None:
+                break
+        if i is None:
+            break
+        chosen = fifo.pop(i)
+        kind = AccessKind.WRITE if chosen.is_write else AccessKind.READ
+        banks[chosen.bank].access(kind, chosen.row, now)
+        issued.append(chosen)
     else:
-        chosen = scan(q.reads) or scan(q.writes)
-    return chosen, draining
+        draining = False  # empty queues: the drain exits (0 <= low)
+    return issued, draining, entries
 
 
-def run_equivalence(seed, steps=400, nbanks=8, depth=12, high=8, low=3):
+def run_equivalence(seed, steps=400, nbanks=8, depth=12):
+    """Drive ``steps`` randomized admit/issue rounds (watermarks 9/3 at the
+    default depth), asserting each live pass matches the oracle."""
     rng = random.Random(seed)
-    timings = DRAMTimings()
-    banks = [Bank(i, timings) for i in range(nbanks)]
-    q = VaultQueues(depth, depth)
-    sched = FRFCFSScheduler(
-        banks, q, write_high_watermark=high, write_low_watermark=low
-    )
+    vc = make_vc(nbanks=nbanks, depth=depth)
+    q = vc.queues
     now = 0
     issued = 0
-    drains = 0
     for _ in range(steps):
         for _ in range(rng.randrange(4)):
             write = rng.random() < 0.45
@@ -173,19 +172,15 @@ def run_equivalence(seed, steps=400, nbanks=8, depth=12, high=8, low=3):
             r.bank = rng.randrange(nbanks)
             r.row = rng.randrange(4)
             q.admit(r)
-        expected, expected_draining = naive_oracle(banks, q, sched, now)
-        was_draining = sched.draining
-        got = sched.next_request(now)
-        assert got is expected, (
-            f"seed={seed} t={now}: indexed picked {got!r}, oracle {expected!r}"
+        expected, expected_draining, entries = naive_oracle(vc, now)
+        entries_before = vc.scheduler.drain_entries
+        got = issue(vc, now)
+        assert [id(r) for r in got] == [id(r) for r in expected], (
+            f"seed={seed} t={now}: live issued {got!r}, oracle {expected!r}"
         )
-        assert sched.draining == expected_draining
-        if sched.draining and not was_draining:
-            drains += 1
-        if got is not None:
-            kind = AccessKind.WRITE if got.is_write else AccessKind.READ
-            banks[got.bank].access(kind, got.row, now)
-            issued += 1
+        assert vc.scheduler.draining == expected_draining
+        assert vc.scheduler.drain_entries - entries_before == entries
+        issued += len(got)
         # advance unevenly: sometimes stay in-cycle (banks busy), sometimes
         # jump past every busy horizon
         if rng.random() < 0.6:
@@ -194,7 +189,7 @@ def run_equivalence(seed, steps=400, nbanks=8, depth=12, high=8, low=3):
             now += rng.randrange(0, 120)
     assert not q.staging
     assert issued > steps // 8, f"seed={seed}: degenerate stream ({issued} issues)"
-    return drains
+    return vc.scheduler.drain_entries
 
 
 @pytest.mark.parametrize("seed", range(8))

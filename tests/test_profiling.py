@@ -19,7 +19,9 @@ from repro.workloads.mixes import mix
 
 def test_classify_paths():
     assert classify("/repo/src/repro/sim/engine.py") == "engine"
-    assert classify("/repo/src/repro/vault/scheduler.py") == "scheduler"
+    # the FR-FCFS scan runs in the controller; scheduler.py holds only the
+    # drain transitions, so both are charged to the vault row
+    assert classify("/repo/src/repro/vault/scheduler.py") == "vault"
     assert classify("/repo/src/repro/vault/controller.py") == "vault"
     assert classify("/repo/src/repro/dram/bank.py") == "bank"
     assert classify("/repo/src/repro/core/camps.py") == "prefetcher"

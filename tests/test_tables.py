@@ -10,7 +10,6 @@ class TestRUT:
         rut = RowUtilizationTable(banks=4)
         assert rut.get(0) is None
         assert rut.occupied() == 0
-        assert rut.utilization(0) == 0
 
     def test_record_creates_entry(self):
         rut = RowUtilizationTable(banks=4)
@@ -79,7 +78,7 @@ class TestRUT:
         rut = RowUtilizationTable(banks=1)
         for col in [0, 5, 5, 15, 0, 3]:
             rut.record_access(0, 1, col, 0)
-        assert rut.utilization(0) == 4  # {0, 5, 15, 3}
+        assert rut.get(0).line_mask.bit_count() == 4  # {0, 5, 15, 3}
 
 
 class TestCT:
@@ -123,18 +122,6 @@ class TestCT:
         ct.insert(0, 1, 1)
         assert len(ct) == 1
         assert ct.insertions == 1
-
-    def test_touch_refreshes_without_removal(self):
-        ct = ConflictTable(entries=2)
-        ct.insert(0, 1, 0)
-        ct.insert(0, 2, 1)
-        assert ct.touch(0, 1) is True
-        ct.insert(0, 3, 2)
-        assert (0, 1) in ct  # refreshed, row 2 evicted instead
-
-    def test_touch_miss(self):
-        ct = ConflictTable(entries=2)
-        assert ct.touch(0, 1) is False
 
     def test_shared_across_banks(self):
         ct = ConflictTable(entries=4)
