@@ -5,7 +5,7 @@ The fabric subsystem (``repro.fabric``) must satisfy two contracts:
 * **Degenerate parity** - a one-cube fabric is the single-cube ``System``
   in different clothes: same result fields, same event count, same energy
   to the last bit.  This bench asserts the 1-cube FabricSystem reproduces
-  ``bench_hotpath``'s pinned *pre-overhaul* digest exactly - the fabric
+  ``bench_hotpath``'s pinned quick digest exactly - the fabric
   path is pinned to the same reference the hot-path overhaul is.
 * **Multi-cube determinism** - chain:2 and chain:4 results (including the
   hop-flit count and hop histogram, which exercise the routing and
@@ -61,7 +61,7 @@ MIX = "MX1"
 SEED = 1
 
 #: pinned result digests per (topology, refs/core).  The chain:1 entry IS
-#: bench_hotpath's quick pin - the pre-overhaul single-cube reference - so
+#: bench_hotpath's quick pin - the single-cube reference - so
 #: the degenerate fabric is pinned to the same bytes the System hot path is.
 #: chain:2/chain:4 pin the routed multi-cube path (their digests fold in
 #: hop_flits and the hop histogram).
@@ -73,11 +73,11 @@ PINS = {
     },
     "chain:2": {
         "refs": 500,
-        "digest": "7d00ad398f0ed2a72190a5fa2ec615047cc65dad2f85dd841d7f7f9faa10f1ab",
+        "digest": "6c477cc97e360a79db83a0273d752bed934654d7c0a24b08c2d8103fc07fb4f4",
     },
     "chain:4": {
         "refs": 500,
-        "digest": "168270c880a2dc7309aa3f416f06fb31e844bc21c7251d3e44f2f47abc073004",
+        "digest": "737fe7cd1226622b9aee4e54909a13ee477def1fb452cab18c517860373e937d",
     },
 }
 
@@ -272,8 +272,8 @@ def check(quick: bool = True) -> int:
 # Pytest entry points (explicit path only, like the other benches)
 # ----------------------------------------------------------------------
 def test_one_cube_fabric_matches_hotpath_pin():
-    """The degenerate fabric must reproduce bench_hotpath's pinned
-    pre-overhaul digest bit-for-bit (fields, events_fired, energy)."""
+    """The degenerate fabric must reproduce bench_hotpath's pinned quick
+    digest bit-for-bit (fields, events_fired, energy)."""
     sample = measure("chain:1", rounds=1)
     assert sample["digest"] == HOTPATH_PINS["quick"]["digest"], (
         f"1-cube fabric drifted from the hot-path pin: {sample['digest']}"

@@ -126,7 +126,9 @@ class CampsPrefetcher(Prefetcher):
                 seed = rut.get(bank).line_mask
                 rut.clear(bank)
                 self.utilization_prefetches += 1
-                self._emit_rut_threshold(self.vault_id, bank, row, util, now)
+                emit = self._emit_rut_threshold
+                if emit is not noop:
+                    emit(self.vault_id, bank, row, util, now)
                 return self._count_issue(
                     [
                         PrefetchAction(
@@ -147,15 +149,21 @@ class CampsPrefetcher(Prefetcher):
             displaced = rut.replace(bank, row, now)
             if displaced is not None:
                 evicted = self.ct.insert(bank, displaced.row, now)
-                self._emit_ct_insert(self.vault_id, bank, displaced.row, now)
-                if evicted is not None:
-                    self._emit_ct_evict(self.vault_id, evicted[0], evicted[1], now)
+                emit = self._emit_ct_insert
+                if emit is not noop:  # the CT hooks are bound together
+                    emit(self.vault_id, bank, displaced.row, now)
+                    if evicted is not None:
+                        self._emit_ct_evict(
+                            self.vault_id, evicted[0], evicted[1], now
+                        )
             if self.ct.check_and_remove(bank, row):
                 # This row has itself been conflicted out recently: it is
                 # conflict-prone, prefetch it now and close the bank.
                 rut.clear(bank)
                 self.conflict_prefetches += 1
-                self._emit_ct_hit(self.vault_id, bank, row, now)
+                emit = self._emit_ct_hit
+                if emit is not noop:
+                    emit(self.vault_id, bank, row, now)
                 return self._count_issue(
                     [
                         PrefetchAction(
@@ -176,7 +184,9 @@ class CampsPrefetcher(Prefetcher):
         if self.ct.check_and_remove(bank, row):
             rut.clear(bank)
             self.conflict_prefetches += 1
-            self._emit_ct_hit(self.vault_id, bank, row, now)
+            emit = self._emit_ct_hit
+            if emit is not noop:
+                emit(self.vault_id, bank, row, now)
             return self._count_issue(
                 [
                     PrefetchAction(

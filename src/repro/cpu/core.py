@@ -162,6 +162,11 @@ class Core:
         """Begin replaying the trace ``delay`` cycles from now."""
         self.engine.schedule(delay, self._run)
 
+    def release(self) -> None:
+        """End of life: drop the run context pack, which holds this core's
+        fill method (see VaultController.release)."""
+        self._run_ctx = None
+
     @property
     def ipc(self) -> float:
         """Committed instructions per cycle (valid once done)."""

@@ -15,7 +15,6 @@ single point where every access resolves.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.dram.bus import TsvBus
@@ -37,14 +36,26 @@ class RowOutcome(enum.Enum):
     CONFLICT = "conflict"  # different row open: precharge + activate
 
 
-@dataclass(frozen=True, slots=True)
 class AccessResult:
     """Service window of one access: when it started occupying the bank,
-    when its data is available, and how the row buffer was found."""
+    when its data is available, and how the row buffer was found.
 
-    start: int
-    finish: int
-    outcome: RowOutcome
+    A plain slots class built positionally: every bank access builds one,
+    and a frozen dataclass would pay an ``object.__setattr__`` per field.
+    Treat it as read-only."""
+
+    __slots__ = ("start", "finish", "outcome")
+
+    def __init__(self, start: int, finish: int, outcome: RowOutcome) -> None:
+        self.start = start
+        self.finish = finish
+        self.outcome = outcome
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"AccessResult(start={self.start}, finish={self.finish}, "
+            f"outcome={self.outcome})"
+        )
 
 
 class Bank:
@@ -204,7 +215,9 @@ class Bank:
         else:
             outcome = RowOutcome.CONFLICT
             self.conflicts += 1
-            self._emit_conflict(self.bus.vault_id, self.bank_id, open_row, row, start)
+            emit = self._emit_conflict
+            if emit is not noop:
+                emit(self.bus.vault_id, self.bank_id, open_row, row, start)
             tras_done = self.last_activate + t.tras_cpu
             pre_at = start if start > tras_done else tras_done
             if logging:
@@ -243,11 +256,12 @@ class Bank:
             # Auto-precharge: data is returned at `finish`; the bank stays
             # busy through the precharge but the requester is not delayed.
             pre_at = self._earliest_precharge(finish)
-            self._log(CommandKind.PRECHARGE, row, pre_at)
+            if logging:
+                log(CommandKind.PRECHARGE, row, pre_at)
             self.pres += 1
             self.open_row = None
             self.busy_until = pre_at + t.trp_cpu
-        return AccessResult(start=start, finish=finish, outcome=outcome)
+        return AccessResult(start, finish, outcome)
 
     def fetch_row(self, row: int, now: int) -> AccessResult:
         """Stream the whole row into the prefetch buffer over the TSVs.
@@ -256,6 +270,8 @@ class Bank:
         next access to a *different* row pays no conflict penalty.
         """
         t = self.timings
+        log = self._log
+        logging = log is not noop
         start = max(now, self.busy_until)
         outcome = self.classify(row)
         if outcome is RowOutcome.CONFLICT:
@@ -263,31 +279,37 @@ class Bank:
             # This is controller-initiated, not a demand conflict, so it does
             # not count toward the row-buffer-conflict statistic.
             pre_at = self._earliest_precharge(start)
-            self._log(CommandKind.PRECHARGE, self.open_row or 0, pre_at)
+            if logging:
+                log(CommandKind.PRECHARGE, self.open_row or 0, pre_at)
             self.pres += 1
             act_at = pre_at + t.trp_cpu
-            self._log(CommandKind.ACTIVATE, row, act_at)
+            if logging:
+                log(CommandKind.ACTIVATE, row, act_at)
             self.acts += 1
             self.last_activate = act_at
             stream_start = act_at + t.trcd_cpu
         elif outcome is RowOutcome.EMPTY:
-            self._log(CommandKind.ACTIVATE, row, start)
+            if logging:
+                log(CommandKind.ACTIVATE, row, start)
             self.acts += 1
             self.last_activate = start
             stream_start = start + t.trcd_cpu
         else:
             stream_start = start
 
-        self._log(CommandKind.ROW_FETCH, row, stream_start)
+
+        if logging:
+            log(CommandKind.ROW_FETCH, row, stream_start)
         self.row_fetches += 1
         stream_end = self._data_transfer(stream_start, t.trow_tsv_cpu)
         pre_at = self._earliest_precharge(stream_end)
-        self._log(CommandKind.PRECHARGE, row, pre_at)
+        if logging:
+            log(CommandKind.PRECHARGE, row, pre_at)
         self.pres += 1
         finish = pre_at + t.trp_cpu
         self.open_row = None
         self.busy_until = finish
-        return AccessResult(start=start, finish=finish, outcome=outcome)
+        return AccessResult(start, finish, outcome)
 
     def fetch_lines(
         self, row: int, n_lines: int, now: int, precharge_after: bool = False
@@ -301,64 +323,78 @@ class Bank:
         if n_lines < 1:
             raise ValueError("n_lines must be >= 1")
         t = self.timings
+        log = self._log
+        logging = log is not noop
         start = max(now, self.busy_until)
         outcome = self.classify(row)
         if outcome is RowOutcome.CONFLICT:
             pre_at = self._earliest_precharge(start)
-            self._log(CommandKind.PRECHARGE, self.open_row or 0, pre_at)
+            if logging:
+                log(CommandKind.PRECHARGE, self.open_row or 0, pre_at)
             self.pres += 1
             act_at = pre_at + t.trp_cpu
-            self._log(CommandKind.ACTIVATE, row, act_at)
+            if logging:
+                log(CommandKind.ACTIVATE, row, act_at)
             self.acts += 1
             self.last_activate = act_at
             data_start = act_at + t.trcd_cpu
         elif outcome is RowOutcome.EMPTY:
-            self._log(CommandKind.ACTIVATE, row, start)
+            if logging:
+                log(CommandKind.ACTIVATE, row, start)
             self.acts += 1
             self.last_activate = start
             data_start = start + t.trcd_cpu
         else:
             data_start = start
 
-        self._log(CommandKind.READ, row, data_start)
+
+        if logging:
+            log(CommandKind.READ, row, data_start)
         self.prefetch_line_reads += n_lines
         finish = self._data_transfer(data_start, n_lines * t.tburst_cpu)
         self.open_row = row
         self.busy_until = finish
         if precharge_after:
             pre_at = self._earliest_precharge(finish)
-            self._log(CommandKind.PRECHARGE, row, pre_at)
+            if logging:
+                log(CommandKind.PRECHARGE, row, pre_at)
             self.pres += 1
             finish = pre_at + t.trp_cpu
             self.open_row = None
             self.busy_until = finish
-        return AccessResult(start=start, finish=finish, outcome=outcome)
+        return AccessResult(start, finish, outcome)
 
     def restore_row(self, row: int, now: int) -> AccessResult:
         """Write a dirty prefetched row back from the buffer into the bank."""
         t = self.timings
+        log = self._log
+        logging = log is not noop
         start = max(now, self.busy_until)
         outcome = self.classify(row)
         if outcome is not RowOutcome.EMPTY and self.open_row != row:
             pre_at = self._earliest_precharge(start)
-            self._log(CommandKind.PRECHARGE, self.open_row or 0, pre_at)
+            if logging:
+                log(CommandKind.PRECHARGE, self.open_row or 0, pre_at)
             self.pres += 1
             start = pre_at + t.trp_cpu
         if self.open_row != row:
-            self._log(CommandKind.ACTIVATE, row, start)
+            if logging:
+                log(CommandKind.ACTIVATE, row, start)
             self.acts += 1
             self.last_activate = start
             start += t.trcd_cpu
-        self._log(CommandKind.ROW_RESTORE, row, start)
+        if logging:
+            log(CommandKind.ROW_RESTORE, row, start)
         self.row_restores += 1
         stream_end = self.bus.reserve(start, t.trow_tsv_cpu) + t.trow_tsv_cpu + t.twr_cpu
         pre_at = self._earliest_precharge(stream_end)
-        self._log(CommandKind.PRECHARGE, row, pre_at)
+        if logging:
+            log(CommandKind.PRECHARGE, row, pre_at)
         self.pres += 1
         finish = pre_at + t.trp_cpu
         self.open_row = None
         self.busy_until = finish
-        return AccessResult(start=max(now, 0), finish=finish, outcome=outcome)
+        return AccessResult(max(now, 0), finish, outcome)
 
     def refresh(self, now: int) -> int:
         """One per-bank REFRESH: close any open row, occupy the bank for

@@ -71,6 +71,11 @@ class FabricHost:
         #: see HostController.recycle_requests; FabricSystem enables this
         #: under the same single-ownership proof
         self.recycle_requests = False
+        #: response-link counters saved (and zeroed) by begin_warmup_reset,
+        #: and the response flits charged per cube since, awaiting the
+        #: warmup boundary
+        self._resp_saved = None
+        self._resp_flits = None
         line = cfg.line_bytes
         hdr = cfg.request_header_bytes
         self._req_bytes = (
@@ -133,6 +138,7 @@ class FabricHost:
             self.routers[b].peers[a] = self.routers[a]
         for router in self.routers:
             router.host_tx = self._tx_response
+            router.resp_lead = self._resp_xbar
         for c, dev in enumerate(devices):
             dev.set_deliver_fn(self._make_responder(c))
 
@@ -159,6 +165,13 @@ class FabricHost:
     def tracer(self, tracer) -> None:
         self._tracer = tracer
         self._emit_link_tx = tracer.link_tx if tracer is not None else noop
+
+    def release(self) -> None:
+        """End of life: unlink the routers, which point at each other and
+        at the host (see HostController.release)."""
+        for router in self.routers:
+            router.peers.clear()
+            router.host_tx = None
 
     # ------------------------------------------------------------------
     # Request path (core -> fabric)
@@ -202,37 +215,55 @@ class FabricHost:
     # Response path (fabric -> core)
     # ------------------------------------------------------------------
     def _make_responder(self, cube: int) -> Callable[[MemoryRequest, int], None]:
-        """Build cube ``cube``'s deliver fn: charge the response crossbar,
-        then either transmit on the host link (the cube is its own fabric
-        exit) or hand the packet to the cube's router for the trip back."""
+        """Build cube ``cube``'s deliver fn.
+
+        A cube that is its own fabric exit reserves the host link
+        ``crossbar_latency`` cycles before transmitting, at ``ready``, with
+        the same lead as HostController._respond_from_cube.  Any other cube
+        charges the response crossbar and hands the packet to its router,
+        which schedules the last hop with the same lead (Router.receive_response).
+        """
         engine = self.engine
-        resp_xbar = self._resp_xbar
-        if self._entry[cube] == cube:
-            target = self._tx_response
-        else:
+        if self._entry[cube] != cube:
+            resp_xbar = self._resp_xbar
             target = self.routers[cube].receive_response
 
+            def respond(req: MemoryRequest, ready: int) -> None:
+                now = engine.now
+                t = ready + resp_xbar
+                engine.call_at(t if t > now else now, target, req)
+
+            return respond
+        tx_response = self._tx_response
+
         def respond(req: MemoryRequest, ready: int) -> None:
-            now = engine.now
-            t = ready + resp_xbar
-            engine.call_at(t if t > now else now, target, req)
+            if ready <= engine.now:
+                tx_response(req)
+            else:
+                engine.call_at(ready, tx_response, req, priority=-2)
 
         return respond
 
     def _tx_response(self, req: MemoryRequest) -> None:
+        """Reserve the host response link for the packet that leaves at
+        ``engine.now + crossbar_latency``."""
         engine = self.engine
-        now = engine.now
+        tx = engine.now + self._resp_xbar
         nbytes = self._resp_bytes[req.is_write]
         if self._link_by_cube:
             link = self.links[req.cube % self._nlinks]
         else:
             link = self.links[req.vault % self._nlinks]
         d = link.response
-        arrival, flits = d.send(now, nbytes)
+        arrival, flits = d.send(tx, nbytes)
         emit = self._emit_link_tx
         if emit is not noop:
-            emit(link.link_id, "resp", nbytes, now, arrival)
-        self._energy[self._entry[req.cube]].link_flits += flits
+            emit(link.link_id, "resp", nbytes, tx, arrival)
+        entry = self._entry[req.cube]
+        self._energy[entry].link_flits += flits
+        resp_flits = self._resp_flits
+        if resp_flits is not None:
+            resp_flits[entry] += flits
         engine.call_at(arrival, self._deliver, req)
 
     def _deliver(self, req: MemoryRequest) -> None:
@@ -256,15 +287,41 @@ class FabricHost:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    def begin_warmup_reset(self) -> None:
+        """Response half of the warmup reset, run ``crossbar_latency``
+        cycles before :meth:`reset_statistics`; see
+        HostController.begin_warmup_reset.  Host-link response flits
+        reserved from here on are also tallied per charged cube."""
+        self._resp_saved = [link.response.take_statistics() for link in self.links]
+        self._resp_flits = [0] * len(self.devices)
+
+    def abandon_warmup_reset(self) -> None:
+        """Undo :meth:`begin_warmup_reset` when the run ended before the
+        boundary (see HostController.abandon_warmup_reset)."""
+        if self._resp_saved is not None:
+            for link, saved in zip(self.links, self._resp_saved):
+                link.response.put_statistics(saved)
+            self._resp_saved = self._resp_flits = None
+
     def reset_statistics(self) -> None:
         """Warmup boundary: zero latency/hop histograms, link activity
         (traffic + retry counters, see SerialLink.reset_statistics) and
-        router forwarding counters."""
+        router forwarding counters.  After :meth:`begin_warmup_reset` the
+        host response directions keep what they counted since, and each
+        cube's energy gets those flits back."""
         self.latency_hist.reset()
         self.read_latency_hist.reset()
         self.hop_hist.reset()
+        saved, self._resp_saved = self._resp_saved, None
         for link in self.links:
-            link.reset_statistics()
+            if saved is None:
+                link.reset_statistics()
+            else:
+                link.request.reset_statistics()
+        if saved is not None:
+            for energy, flits in zip(self._energy, self._resp_flits):
+                energy.link_flits += flits
+            self._resp_flits = None
         for link in self.fabric_links:
             link.reset_statistics()
         for router in self.routers:

@@ -85,6 +85,7 @@ class Router:
         "ports",
         "peers",
         "host_tx",
+        "resp_lead",
         "_req_bytes",
         "_resp_bytes",
         "local_requests",
@@ -116,8 +117,10 @@ class Router:
         self.ports: Dict[int, LinkDirection] = {}
         #: neighbor Router per neighbor cube
         self.peers: Dict[int, "Router"] = {}
-        #: the host-side response transmitter; used only at the exit cube
+        #: the host-side response transmitter, and how many cycles before a
+        #: packet transmits it is called (the host's crossbar latency)
         self.host_tx = None
+        self.resp_lead = 0
         self._req_bytes = req_bytes
         self._resp_bytes = resp_bytes
         self.local_requests = 0
@@ -145,17 +148,31 @@ class Router:
         self.engine.call_at(arrival, self.peers[nxt].receive_request, req)
 
     def receive_response(self, req: MemoryRequest) -> None:
-        """A response packet materializes at this cube at ``engine.now``."""
-        if self.cube_id == self.exit_cube:
-            self.host_tx(req)
-            return
+        """A response packet materializes at this cube at ``engine.now``
+        and is relayed one hop toward the exit cube.
+
+        The hop into the exit cube lands straight in the host transmitter,
+        ``resp_lead`` cycles before the packet arrives: the host reserves
+        its response link that far ahead of transmitting (see
+        HostController._respond_from_cube), and priority -2 puts the
+        reservation where the exit cube's own responses reserve.  The order
+        of host-link reservations is the arrival order as long as a hop
+        takes at least ``resp_lead`` cycles (hop_latency + serdes_latency >=
+        crossbar_latency, true for the defaults); a shorter hop reserves
+        when it is forwarded."""
+        engine = self.engine
         nxt = self.next_hop[self.exit_cube]
         arrival, flits = self.ports[nxt].send(
-            self.engine.now + self.hop_latency, self._resp_bytes[req.is_write]
+            engine.now + self.hop_latency, self._resp_bytes[req.is_write]
         )
         self.forwarded_responses += 1
         self.hop_flits += flits
-        self.engine.call_at(arrival, self.peers[nxt].receive_response, req)
+        if nxt == self.exit_cube:
+            t = arrival - self.resp_lead
+            now = engine.now
+            engine.call_at(t if t > now else now, self.host_tx, req, priority=-2)
+        else:
+            engine.call_at(arrival, self.peers[nxt].receive_response, req)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -128,18 +128,25 @@ class FabricSystem:
         if self._ran:
             raise RuntimeError("FabricSystem.run() may only be called once")
         self._ran = True
-        if self.config.stats_warmup_cycles is not None:
+        warmup = self.config.stats_warmup_cycles
+        if warmup is not None:
+            # The host's response half leads by the crossbar latency (see
+            # HostController.begin_warmup_reset).
             self.engine.schedule(
-                self.config.stats_warmup_cycles,
-                self._warmup_boundary,
+                max(warmup - self.fabric.hmc.crossbar_latency, 0),
+                self.host.begin_warmup_reset,
                 priority=-10,
                 weak=True,
+            )
+            self.engine.schedule(
+                warmup, self._warmup_boundary, priority=-10, weak=True
             )
         if self.timeseries is not None:
             self.timeseries.start()
         for core in self.cores:
             core.start()
         self.engine.run(max_events=max_events)
+        self.host.abandon_warmup_reset()
         stuck = [c.core_id for c in self.cores if not c.done]
         if stuck:
             raise RuntimeError(
@@ -148,7 +155,15 @@ class FabricSystem:
             )
         for dev in self.devices:
             dev.finalize()
-        return self._collect()
+        result = self._collect()
+        # Break the reference cycles, as System.run does.
+        self.host.release()
+        for dev in self.devices:
+            dev.release()
+        for core in self.cores:
+            core.release()
+        self.engine.release()
+        return result
 
     def _warmup_boundary(self) -> None:
         for dev in self.devices:

@@ -62,13 +62,21 @@ class HMCDevice:
 
         The vault controllers are rewired to call ``fn`` directly, skipping
         the :meth:`_on_vault_response` pass-through frame on the hot path.
-        The deliver fn receives the *bank-side* ready cycle; the response
-        crossbar traversal is charged by the receiver (the host controller
-        mirrors ``config.crossbar_latency`` for this).
+        The deliver fn receives the *bank-side* ready cycle, never earlier
+        than ``engine.now``; the response crossbar traversal is charged by
+        the receiver (the host controller mirrors ``config.crossbar_latency``
+        for this and reserves its link that far ahead of transmitting).
         """
         self._deliver_fn = fn
         for vc in self.vaults:
             vc.respond_fn = fn
+
+    def release(self) -> None:
+        """End of life: drop the host's deliver fn and release every vault
+        (see VaultController.release)."""
+        self._deliver_fn = None
+        for vc in self.vaults:
+            vc.release()
 
     # ------------------------------------------------------------------
     # Datapath

@@ -54,6 +54,9 @@ class HostController:
         #: System enables this only when it can prove single ownership
         #: (no request recording, no cache hierarchy holding MSHR refs)
         self.recycle_requests = False
+        #: response-link counters saved (and zeroed) by begin_warmup_reset,
+        #: awaiting the warmup boundary
+        self._resp_saved = None
         # packet sizes depend only on (kind, line_bytes, header_bytes):
         # resolve the four combinations once instead of per packet
         line = config.line_bytes
@@ -116,6 +119,7 @@ class HostController:
         )
         self._tx_ctx = (
             engine,
+            self._resp_xbar,
             self._resp_bytes,
             self.links,
             self._nlinks,
@@ -140,6 +144,13 @@ class HostController:
     def tracer(self, tracer) -> None:
         self._tracer = tracer
         self._emit_link_tx = tracer.link_tx if tracer is not None else noop
+
+    def release(self) -> None:
+        """End of life: drop the context packs and the vault receive fns,
+        which tie the host to the cube that holds its deliver fn (see
+        VaultController.release and HMCDevice.release)."""
+        self._send_ctx = self._tx_ctx = self._deliver_ctx = None
+        self._vault_receive = None
 
     # ------------------------------------------------------------------
     # Request path (core -> cube)
@@ -224,25 +235,30 @@ class HostController:
     # Response path (cube -> core)
     # ------------------------------------------------------------------
     def _respond_from_cube(self, req: MemoryRequest, ready: int) -> None:
-        # ``ready`` is the bank-side cycle; the response crossbar traversal
-        # is charged here (see HMCDevice.set_deliver_fn).  Serialization must
-        # be reserved when the data is actually ready - reserving at call
-        # time would let far-future completions (e.g. in-flight prefetch
-        # hits) block earlier responses on the link.
+        # ``ready`` is the bank-side cycle; the response then crosses the
+        # crossbar and leaves on the link at tx = ready + crossbar_latency.
+        # Serialization is reserved in (tx, seq) order, but
+        # ``crossbar_latency`` cycles ahead, at ``ready``: the crossing
+        # itself is not an event.  A bank completion is ready now (the
+        # common case) and reserves synchronously.  A buffer hit is ready
+        # later and reserves from one event at ``ready`` with priority -2:
+        # it was handed over before any bank completion of that cycle, so
+        # it must reserve before them (they fire at -1).  Reserving at call
+        # time instead would let far-future hits block earlier responses.
         engine = self.engine
-        now = engine.now
-        t = ready + self._resp_xbar
-        # Engine.call_at inlined (clamped-to-now time can never be past).
+        if ready <= engine.now:
+            self._tx_response(req)
+            return
+        # Engine.call_at inlined (ready > now).
         engine._seq = seq = engine._seq + 1
-        heappush(
-            engine._heap,
-            (t if t > now else now, 0, seq, self._tx_response, (req,)),
-        )
+        heappush(engine._heap, (ready, -2, seq, self._tx_response, (req,)))
         engine._strong += 1
 
     def _tx_response(self, req: MemoryRequest) -> None:
-        engine, resp_bytes, links, nlinks, energy, deliver = self._tx_ctx
-        now = engine.now
+        """Reserve the response link for the packet that leaves at
+        ``engine.now + crossbar_latency`` (see _respond_from_cube)."""
+        engine, resp_xbar, resp_bytes, links, nlinks, energy, deliver = self._tx_ctx
+        tx = engine.now + resp_xbar
         nbytes = resp_bytes[req.is_write]
         link = links[req.vault % nlinks]
         d = link.response
@@ -250,7 +266,7 @@ class HostController:
         cached = d._ser_cache.get(nbytes) if d.retry is None else None
         if cached is not None:
             busy = d.busy_until
-            start = now if now > busy else busy
+            start = tx if tx > busy else busy
             ser, flits = cached
             d.busy_until = end = start + ser
             d.busy_cycles += ser
@@ -259,10 +275,10 @@ class HostController:
             d.flits_sent += flits
             arrival = end + d.serdes_latency
         else:
-            arrival, flits = d.send(now, nbytes)
+            arrival, flits = d.send(tx, nbytes)
         emit = self._emit_link_tx
         if emit is not noop:
-            emit(link.link_id, "resp", nbytes, now, arrival)
+            emit(link.link_id, "resp", nbytes, tx, arrival)
         energy.link_flits += flits
         # Engine.call_at inlined (arrival is structurally >= now).
         engine._seq = seq = engine._seq + 1
@@ -328,13 +344,43 @@ class HostController:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    def begin_warmup_reset(self) -> None:
+        """Response half of the warmup reset, run ``crossbar_latency``
+        cycles before :meth:`reset_statistics`.
+
+        Responses reserve their link that far ahead of transmitting (see
+        _respond_from_cube), so zeroing the response directions here counts
+        exactly the responses that transmit from the boundary on.  The
+        zeroed values are kept until :meth:`reset_statistics` commits them.
+        """
+        self._resp_saved = [link.response.take_statistics() for link in self.links]
+
+    def abandon_warmup_reset(self) -> None:
+        """Undo :meth:`begin_warmup_reset` when the run ended before the
+        boundary.  No response was reserved in between: its delivery would
+        still be pending at the boundary and keep the run alive until then."""
+        if self._resp_saved is not None:
+            for link, saved in zip(self.links, self._resp_saved):
+                link.response.put_statistics(saved)
+            self._resp_saved = None
+
     def reset_statistics(self) -> None:
         """Warmup boundary: zero latency histograms and link activity.  The
-        sent/completed counters are preserved (outstanding tracking)."""
+        sent/completed counters are preserved (outstanding tracking).
+
+        After :meth:`begin_warmup_reset` the response directions keep what
+        they counted since, and the device energy, which
+        ``HMCDevice.reset_statistics`` zeroed just before, gets their flits
+        back."""
         self.latency_hist.reset()
         self.read_latency_hist.reset()
+        saved, self._resp_saved = self._resp_saved, None
         for link in self.links:
-            link.reset_statistics()
+            if saved is None:
+                link.reset_statistics()
+            else:
+                link.request.reset_statistics()
+                self._energy.link_flits += link.response.flits_sent
 
     @property
     def outstanding(self) -> int:

@@ -148,6 +148,27 @@ class LinkDirection:
         if self.retry is not None:
             self.retry.reset_counters()
 
+    def take_statistics(self) -> tuple:
+        """:meth:`reset_statistics`, returning the zeroed values for
+        :meth:`put_statistics`."""
+        retry = self.retry
+        saved = (
+            self.packets,
+            self.bytes_sent,
+            self.flits_sent,
+            self.busy_cycles,
+            retry.counters() if retry is not None else None,
+        )
+        self.reset_statistics()
+        return saved
+
+    def put_statistics(self, saved: tuple) -> None:
+        """Restore the counters :meth:`take_statistics` zeroed."""
+        self.packets, self.bytes_sent, self.flits_sent, self.busy_cycles, retry = saved
+        if retry is not None:
+            for name, value in retry.items():
+                setattr(self.retry, name, value)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LinkDir {self.name} busy_until={self.busy_until} pkts={self.packets}>"
 

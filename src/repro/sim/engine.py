@@ -310,9 +310,9 @@ class Engine:
                 # fire order to the general loop below - entries still pop
                 # in exact (time, priority, seq) order - but structured as
                 # one pass per *cohort*, the maximal run of entries sharing
-                # ``(time, priority)``.  The clock is written and the warp
-                # span accounted once per cohort head instead of once per
-                # event, and the inner drain continues on a cheap heap-head
+                # ``(time, priority)``.  The clock is written and the time hop
+                # counted once per cohort head instead of once per event,
+                # and the inner drain continues on a cheap heap-head
                 # peek.  A callback that schedules an earlier-sorting entry
                 # (same cycle, lower priority) makes that entry the new heap
                 # head, the peek mismatches, and the outer loop re-pops - so
@@ -322,15 +322,16 @@ class Engine:
                 # back before every callback (which may schedule) and
                 # re-read after, so the attribute stays authoritative.
                 strong = self._strong
-                now = self.now
-                warped = 0
+                now = start = self.now
+                # Time-warp: the clock jumps straight over idle spans.  Each
+                # hop skips (gap - 1) cycles, so the skipped total is the
+                # elapsed span minus the hop count, counted at the end.
+                hops = 0
                 while heap and strong:
                     entry = heappop(heap)
                     t = entry[0]
                     if t != now:
-                        # Time-warp: jump straight over the idle span.
-                        if t - now > 1:
-                            warped += t - now - 1
+                        hops += 1
                         self.now = now = t
                     p = entry[1]
                     while True:
@@ -376,7 +377,7 @@ class Engine:
                         if head[0] != t or head[1] != p:
                             break
                         entry = heappop(heap)
-                self.idle_cycles_skipped += warped
+                self.idle_cycles_skipped += now - start - hops
                 return fired
             while heap:
                 if until is None and self._strong == 0:
@@ -460,6 +461,16 @@ class Engine:
             # leaves an accurate lifetime count for the crash report.
             self._events_fired += fired
         return fired
+
+    def release(self) -> None:
+        """End of life: drop every pending entry (weak leftovers, cancelled
+        tombstones) and the Event freelist, whose handles point back at the
+        engine.  Both would otherwise keep the engine and every component a
+        callback is bound to in reference cycles.  Call it only once the
+        simulation is over."""
+        self._heap.clear()
+        self._pool.clear()
+        self._strong = self._weak_live = 0
 
     def step(self) -> bool:
         """Fire exactly one pending event.  Returns False if none remain."""

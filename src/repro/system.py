@@ -305,29 +305,48 @@ class System:
             raise RuntimeError("System.run() may only be called once")
         self._ran = True
         if self.monitor is None:
-            return self._run_inner(max_events)
-        from repro.sim.integrity import IntegrityError
-
-        try:
             result = self._run_inner(max_events)
-            self.monitor.check_final()
-            return result
-        except IntegrityError as exc:
-            # Watchdog/invariant raises arrive undressed (no dump yet);
-            # check_final raises fully dressed (dump_path set).
-            if exc.dump_path is None:
-                raise self.monitor.failed(exc) from None
-            raise
-        except Exception as exc:
-            raise self.monitor.failed(exc) from exc
+        else:
+            from repro.sim.integrity import IntegrityError
+
+            try:
+                result = self._run_inner(max_events)
+                self.monitor.check_final()
+            except IntegrityError as exc:
+                # Watchdog/invariant raises arrive undressed (no dump yet);
+                # check_final raises fully dressed (dump_path set).
+                if exc.dump_path is None:
+                    raise self.monitor.failed(exc) from None
+                raise
+            except Exception as exc:
+                raise self.monitor.failed(exc) from exc
+        self._release()
+        return result
+
+    def _release(self) -> None:
+        """Break the finished machine's reference cycles (context packs,
+        two-way wiring, leftover engine entries), so dropping the System
+        frees it by reference counting instead of waiting for the cyclic
+        GC.  Results and counters stay readable."""
+        self.host.release()
+        self.device.release()
+        for core in self.cores:
+            core.release()
+        self.engine.release()
 
     def _run_inner(self, max_events: Optional[int] = None) -> SimulationResult:
-        if self.config.stats_warmup_cycles is not None:
+        warmup = self.config.stats_warmup_cycles
+        if warmup is not None:
+            # The host's response half leads by the crossbar latency (see
+            # HostController.begin_warmup_reset).
             self.engine.schedule(
-                self.config.stats_warmup_cycles,
-                self._warmup_boundary,
+                max(warmup - self.config.hmc.crossbar_latency, 0),
+                self.host.begin_warmup_reset,
                 priority=-10,
                 weak=True,
+            )
+            self.engine.schedule(
+                warmup, self._warmup_boundary, priority=-10, weak=True
             )
         if self.sampler is not None:
             self.sampler.start()
@@ -336,6 +355,7 @@ class System:
         for core in self.cores:
             core.start()
         self.engine.run(max_events=max_events)
+        self.host.abandon_warmup_reset()
         stuck = [c.core_id for c in self.cores if not c.done]
         if stuck:
             raise RuntimeError(

@@ -14,12 +14,14 @@ Event flow per demand request:
    accept its best FR-FCFS candidate.
 3. ``_access_done`` fires when a bank access completes: the prefetcher hook
    runs, returned row fetches execute on the banks (internal TSV transfers,
-   never the external links), the response is handed back to the device, and
-   issuing continues.
+   never the external links), the response is handed back to the host (which
+   reserves its link right there), and issuing continues.
 
 The controller schedules at most one "wake" event at a time (the earliest
-cycle a queued request's bank frees), so the event count stays ~2-3 per
-request regardless of queue depth.
+cycle a queued request's bank frees), so the vault's own events stay below
+three per request regardless of queue depth: one ``receive``, one
+``_access_done`` per bank-served request, and a share of wakes (1.9 per
+request on the quick hot-path run, 2.5 on LM1 with no prefetcher).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from heapq import heappush
 from typing import Callable, List, Optional
 
 from repro.core.buffer import PrefetchBuffer
-from repro.core.prefetcher import PrefetchAction, Prefetcher
+from repro.core.prefetcher import NullPrefetcher, PrefetchAction, Prefetcher
 from repro.dram.bank import AccessKind, AccessResult, Bank
 from repro.dram.bus import TsvBus
 from repro.hmc.config import HMCConfig
@@ -106,7 +108,6 @@ class VaultController:
         self._c_prefetch_lines = self.stats.counter("prefetch_lines")
         self._c_writebacks = self.stats.counter("dirty_row_writebacks")
         self._wake: Optional[Event] = None
-        self._inflight = 0  # bank accesses with a pending completion event
         # _try_issue context pack: every object here is bound once (at
         # construction) and only ever mutated in place, so the tuple stays
         # current; one attribute read + a C-level unpack replaces a dozen
@@ -194,6 +195,11 @@ class VaultController:
         mutated in place; ``respond_fn`` is the one late-bound member.
         """
         buf = self.buffer
+        # NullPrefetcher's hook always returns []: skip the call, as for
+        # on_buffer_hit.
+        oda = self.prefetcher.on_demand_access
+        if getattr(oda, "__func__", None) is NullPrefetcher.on_demand_access:
+            oda = None
         self._recv_ctx = (
             self.engine,
             buf,
@@ -206,11 +212,20 @@ class VaultController:
         )
         self._done_ctx = (
             self.engine,
-            self.prefetcher.on_demand_access,
+            oda,
             self._respond_fn,
             self._c_reads,
             self._c_writes,
         )
+
+    def release(self) -> None:
+        """End of life: drop the context packs and the prefetcher's
+        back-reference.  Both hold this controller (its bound methods, or
+        itself), so without this a finished vault is cyclic garbage that
+        only the cyclic GC frees.  A released controller cannot run."""
+        self._issue_ctx = self._wake_ctx = self._recv_ctx = self._done_ctx = None
+        self._respond_fn = self._on_buffer_hit = None
+        self.prefetcher.controller = None
 
     def receive(self, req: MemoryRequest) -> None:
         """A request packet arrived from the crossbar at ``engine.now``."""
@@ -305,15 +320,13 @@ class VaultController:
         ) = self._issue_ctx
         if not rbb and not wbb:
             # Nothing queued: no pick, no promote (staging implies a full
-            # queue), no wake to arm.  Only a pending write-drain *exit* can
-            # matter here (entry needs a non-empty write queue), and it
-            # resolves identically now or at the next non-empty call.
-            if sched.draining:
-                sched._update_drain_state(now)
+            # queue), no wake to arm, and no drain to end.  Queues only
+            # empty inside this method, whose mid-scan branch below ends any
+            # drain (0 <= low), so a pass that starts empty never finds
+            # ``draining`` set (tests/test_frfcfs_edges.py checks this).
             return
         q = self.queues
         read, write = AccessKind.READ, AccessKind.WRITE
-        issued = 0
         while True:
             # Write-drain hysteresis: most iterations cross neither
             # watermark and pay two comparisons (_update_drain_state
@@ -398,7 +411,6 @@ class VaultController:
                 sched.fcfs_issues += 1
             remove(req)
             result = bank.access(write if req.is_write else read, req.row, now)
-            issued += 1
             # Engine.call_at inlined:
             # result.finish is structurally >= now, priority -1 orders the
             # completion ahead of same-cycle arrivals exactly as before.
@@ -408,12 +420,10 @@ class VaultController:
             if q.staging:
                 promote()
             if not rbb and not wbb:
-                # Queues drained mid-scan: same as the empty fast path at
-                # the top (eager drain exit only).
+                # Queues drained mid-scan: end any drain now (0 <= low).
                 if sched.draining:
                     sched._update_drain_state(now)
                 break
-        self._inflight += issued
         if q.staging:
             promote()
         self._arm_wake()
@@ -481,19 +491,19 @@ class VaultController:
     def _access_done(self, req: MemoryRequest, result: AccessResult) -> None:
         engine, on_demand_access, respond_fn, c_reads, c_writes = self._done_ctx
         now = engine.now
-        self._inflight -= 1
         if req.is_write:
             c_writes.value += 1
         else:
             c_reads.value += 1
         req.source = ServiceSource.BANK
 
-        actions = on_demand_access(
-            req.bank, req.row, req.column, req.is_write, result.outcome, now
-        )
-        if actions:
-            for action in actions:
-                self._execute_prefetch(action, now)
+        if on_demand_access is not None:
+            actions = on_demand_access(
+                req.bank, req.row, req.column, req.is_write, result.outcome, now
+            )
+            if actions:
+                for action in actions:
+                    self._execute_prefetch(action, now)
 
         respond_fn(req, now)
         self._try_issue()
@@ -501,9 +511,13 @@ class VaultController:
     def _execute_prefetch(self, action: PrefetchAction, now: int) -> None:
         if self.buffer is None:
             return
-        self._emit_pf_issue(
-            self.vault_id, action.bank, action.row, action.provenance, now
-        )
+        # The prefetch hooks are bound together (tracer setter), so one
+        # check guards them all.
+        tracing = self._emit_pf_issue is not noop
+        if tracing:
+            self._emit_pf_issue(
+                self.vault_id, action.bank, action.row, action.provenance, now
+            )
         bank = self.banks[action.bank]
         full = (1 << self.config.lines_per_row) - 1
         if action.line_mask == full:
@@ -529,15 +543,18 @@ class VaultController:
             entry = self.buffer.get(action.bank, action.row)
             if entry is not None:
                 entry.seed_ref(action.seed_ref_mask)
-        self._emit_pf_fill(
-            self.vault_id,
-            action.bank,
-            action.row,
-            action.provenance,
-            now,
-            result.finish,
-        )
-        if victim is not None:
+        if tracing:
+            self._emit_pf_fill(
+                self.vault_id,
+                action.bank,
+                action.row,
+                action.provenance,
+                now,
+                result.finish,
+            )
+        if victim is None:
+            return
+        if tracing:
             self._emit_buf_replace(
                 self.vault_id,
                 action.bank,
@@ -556,7 +573,7 @@ class VaultController:
                 victim.utilization,
                 now,
             )
-        if victim is not None and victim.is_dirty:
+        if victim.is_dirty:
             # Dirty prefetched rows are restored to their bank on eviction.
             self.banks[victim.bank].restore_row(victim.row, now)
             self._c_writebacks.inc()

@@ -16,6 +16,7 @@ import pytest
 
 from repro.dram.bank import AccessKind
 from repro.request import MemoryRequest
+from repro.vault.controller import VaultController
 from tests.test_scheduler import issue, make_vc, req
 
 
@@ -202,3 +203,32 @@ def test_randomized_streams_exercise_drain_mode():
     drain-direction half of the oracle is dead code."""
     total = sum(run_equivalence(seed, steps=250) for seed in range(100, 104))
     assert total > 0
+
+
+def test_pass_starting_empty_is_never_draining(monkeypatch):
+    """``_try_issue`` has no drain exit for a pass that starts with empty
+    queues, because none is needed.  Queues only empty inside a pass, one
+    issue per loop iteration.  With a low watermark of 1 or more, the
+    loop-top hysteresis check ends the drain before the last write leaves;
+    with a low watermark of 0 (write depth below 4), the mid-scan branch
+    ends it when the queues run dry.  Checked at the entry of every pass
+    over randomized drain-mode streams at both kinds of watermark."""
+    seen = {}
+    live = VaultController._try_issue
+
+    def checked(vc):
+        q = vc.queues
+        if not q.reads_by_bank and not q.writes_by_bank:
+            assert not vc.scheduler.draining
+            if vc.scheduler.drain_entries:
+                low = vc.scheduler.write_low
+                seen[low] = seen.get(low, 0) + 1
+        live(vc)
+
+    monkeypatch.setattr(VaultController, "_try_issue", checked)
+    for seed in range(100, 104):
+        run_equivalence(seed, steps=250)  # depth 12: watermarks 9/3
+        run_equivalence(seed, steps=250, depth=3)  # watermarks 2/0
+    # both kinds of stream reach empty queues after a drain, or the check
+    # is vacuous
+    assert seen.get(0, 0) > 0 and seen.get(3, 0) > 0

@@ -274,3 +274,48 @@ def test_recycling_does_not_change_results():
     assert recycled.extra["events_fired"] == recorded.extra["events_fired"]
     assert recycled.mean_memory_latency == recorded.mean_memory_latency
     assert recycled.energy_pj == recorded.energy_pj
+
+
+# ----------------------------------------------------------------------
+# Exact work counts
+# ----------------------------------------------------------------------
+class _Census:
+    """Engine span hook that counts fired events per callback name."""
+
+    engine_spans = True
+
+    def __init__(self):
+        self.counts = {}
+
+    def engine_fire(self, time, fn):
+        name = fn.__name__
+        self.counts[name] = self.counts.get(name, 0) + 1
+
+
+#: events per callback of the quick hot-path run (MX1, CAMPS, 800
+#: refs/core, seed 1: 6,400 references).  Work counts are deterministic, so
+#: this is an exact gate: any change to it is a deliberate re-pin.  Every
+#: reference fires one ``receive`` and one ``_deliver``; ``_tx_response``
+#: fires only for the 3,094 buffer hits, whose data is ready after the
+#: cycle they arrive in (bank completions reserve their response link
+#: inside ``_access_done``).
+QUICK_CENSUS = {
+    "_run": 8720,
+    "receive": 6400,
+    "_deliver": 6400,
+    "_access_done": 3306,
+    "_tx_response": 3094,
+    "_wake_fired": 2269,
+}
+
+
+def test_quick_hotpath_event_census():
+    from repro.system import System, SystemConfig
+    from repro.workloads.mixes import mix as make_mix
+
+    system = System(make_mix("MX1", 800, seed=1), SystemConfig(scheme="camps"))
+    census = _Census()
+    system.engine.tracer = census
+    result = system.run()
+    assert census.counts == QUICK_CENSUS
+    assert result.extra["events_fired"] == sum(QUICK_CENSUS.values()) == 30189

@@ -125,3 +125,74 @@ class TestCacheMode:
         for scheme in ("base", "camps-mod"):
             r = run_system([t], scheme=scheme, use_caches=True)
             assert r.cycles > 0
+
+
+class TestReleaseAfterRun:
+    """A finished System is freed by reference counting alone.
+
+    The hot-path context packs hold bound methods of their owners, and
+    host, device, vaults and prefetchers point at each other.  Unless
+    ``run()`` breaks those cycles before it returns, a finished System is
+    cyclic garbage (about 1.5 MB at 800 refs/core) that waits for a full
+    collection, and an in-process loop's peak memory depends on GC timing.
+    """
+
+    @staticmethod
+    def held_after_del(build):
+        import gc
+        import tracemalloc
+
+        build().run()  # warm imports and pools outside the measurement
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            system = build()
+            result = system.run()
+            del system, result
+            held = tracemalloc.get_traced_memory()[0] - before
+            garbage = gc.collect()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        return held, garbage
+
+    @pytest.mark.parametrize(
+        "scheme,use_caches",
+        [("camps-mod", False), ("none", False), ("base-hit", False),
+         ("mmd", False), ("camps", True)],
+    )
+    def test_system_freed_without_cyclic_gc(self, scheme, use_caches):
+        from repro.workloads.mixes import mix
+
+        traces = mix("MX1", 800, seed=1)
+        held, garbage = self.held_after_del(
+            lambda: System(traces, SystemConfig(scheme=scheme, use_caches=use_caches))
+        )
+        assert garbage == 0
+        assert held < 300_000  # the MemoryRequest pool and small caches
+
+    def test_fabric_freed_without_cyclic_gc(self):
+        from repro.fabric import FabricConfig, FabricSystem, FabricSystemConfig
+        from repro.workloads.multistream import MultiStreamSpec, build_stream_traces
+
+        fabric = FabricConfig.from_spec("ring:4")
+        traces = build_stream_traces(
+            MultiStreamSpec.per_cube("MX1", 4, 200, seed=1), fabric
+        )
+        held, garbage = self.held_after_del(
+            lambda: FabricSystem(traces, FabricSystemConfig(fabric=fabric))
+        )
+        assert garbage == 0
+
+    def test_results_readable_after_release(self):
+        from repro.workloads.mixes import mix
+
+        system = System(mix("MX1", 200, seed=1), SystemConfig(scheme="camps"))
+        result = system.run()
+        assert system.host.outstanding == 0
+        assert system.device.demand_accesses == result.demand_accesses
+        assert system.engine.pending == 0
+        with pytest.raises(RuntimeError):
+            system.run()

@@ -1,10 +1,18 @@
 """Tests for warmup statistics reset and the periodic sampler."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.fabric import FabricConfig, FabricSystem, FabricSystemConfig
+from repro.faults import LinkFaultConfig
+from repro.hmc.config import HMCConfig
 from repro.sim.engine import Engine
 from repro.sim.sampler import Sampler
 from repro.system import System, SystemConfig, run_system
+from repro.workloads.mixes import mix
+from repro.workloads.multistream import MultiStreamSpec, build_stream_traces
 from repro.workloads.synthetic import generate_trace
 
 
@@ -119,3 +127,79 @@ class TestWarmup:
         assert warm.extra["events_fired"] >= 0
         # fewer samples in the post-warmup latency histogram
         assert warm.mean_read_latency >= 0.0
+
+
+# ----------------------------------------------------------------------
+# Warmup exactness under the response-link reservation lead
+# ----------------------------------------------------------------------
+#: result fields a warmup reset touches (events_fired excluded: it counts
+#: engine work, not the model), plus the link fault counters
+_WARM_FIELDS = (
+    "cycles",
+    "core_ipc",
+    "row_conflicts",
+    "demand_accesses",
+    "buffer_hits",
+    "prefetches_issued",
+    "row_accuracy",
+    "line_accuracy",
+    "mean_memory_latency",
+    "mean_read_latency",
+    "energy_pj",
+    "link_utilization",
+)
+
+
+def warm_digest(result):
+    payload = {f: getattr(result, f) for f in _WARM_FIELDS}
+    payload["link_faults"] = result.extra.get("link_faults")
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+_FAULTS = LinkFaultConfig(ber=2e-5, drop_prob=0.01, seed=7)
+
+
+class TestWarmupExactness:
+    """Warmup runs pinned to digests taken when each response crossed the
+    crossbar as its own engine event.  Responses now reserve the link
+    ``crossbar_latency`` cycles before they transmit, so the boundary's
+    response half runs that much earlier; these pins show the split of
+    link traffic and energy at the boundary did not move."""
+
+    @pytest.mark.parametrize(
+        "name,scheme,warmup,hmc,digest",
+        [
+            ("MX1", "camps", 4000, HMCConfig(),
+             "0fe4030140b6d5dcd6827885122a52891fa6e2a50c7b9a65bcd388d3cfb2a612"),
+            ("HM3", "camps-mod", 9000, HMCConfig(faults=_FAULTS),
+             "947ac17a1fa97a970d686f48664a64a96081eb4136c1731758c54539eea5befa"),
+            # the run ends between the response half and the boundary
+            # itself, so the boundary never fires and nothing is reset
+            ("LM1", "none", 32832, HMCConfig(),
+             "a72299f753da107caaacae2d34c924b135d862660ccf9942683b851f8a6a6842"),
+        ],
+        ids=["MX1-camps", "HM3-camps-mod-faults", "LM1-none-ends-first"],
+    )
+    def test_system_warmup_digest(self, name, scheme, warmup, hmc, digest):
+        result = System(
+            mix(name, 300, seed=1),
+            SystemConfig(scheme=scheme, hmc=hmc, stats_warmup_cycles=warmup),
+        ).run()
+        assert warm_digest(result) == digest
+
+    def test_fabric_warmup_digest(self):
+        # star:8 shares each host link between two cubes, so the response
+        # flits re-credited at the boundary must go to the right cube
+        fabric = FabricConfig.from_spec("star:8", hmc=HMCConfig(faults=_FAULTS))
+        spec = MultiStreamSpec.per_cube("MX1", 8, 200, seed=1)
+        fsys = FabricSystem(
+            build_stream_traces(spec, fabric),
+            FabricSystemConfig(fabric=fabric, scheme="camps", stats_warmup_cycles=6000),
+        )
+        result = fsys.run()
+        assert warm_digest(result) == (
+            "7fab972d0481c6b0093fc04bfba089751aa2c2c0a9997da08c975f88afb1b99f"
+        )
+        assert [dev.energy.link_flits for dev in fsys.devices] == [
+            7660, 7495, 7411, 7415, 7679, 7477, 7576, 7456,
+        ]
